@@ -5,8 +5,8 @@ saved with ``--benchmark-json`` and diffed by ``scripts/bench_compare.py``)
 plus hard speedup floors measured against the retained scalar codec:
 
 * seal (compress) MB/s and decompress MB/s on noisy-power chunks,
-* the combined seal+decompress path, asserted >= 10x the ``_slow``
-  scalar reference,
+* the combined seal+decompress path, asserted >= 10x the scalar
+  reference codec (``tests/oracles/codec.py``),
 * a summary-served warm ``downsample`` vs the cold decompress path at
   chunk_size=512 over 100 sealed chunks, asserted >= 5x.
 """
@@ -20,12 +20,11 @@ from repro.core.metric import SeriesBatch
 from repro.storage.chunkcache import ChunkCache
 from repro.storage.tsdb import (
     TimeSeriesStore,
-    _compress_chunk_slow,
-    _decompress_chunk_slow,
     _xor_token_lens,
     compress_chunk,
     decompress_chunk,
 )
+from tests.oracles.codec import compress_chunk_slow, decompress_chunk_slow
 
 N = 4096                       # production-sized chunk for codec floors
 TIMES = np.arange(N) * 60.0
@@ -57,8 +56,8 @@ class TestCodecThroughput:
         benchmark.extra_info["MB_per_s"] = RAW_MB / benchmark.stats.stats.mean
 
     def test_vectorized_beats_slow_by_10x(self):
-        slow = (best_of(lambda: _compress_chunk_slow(TIMES, VALUES))
-                + best_of(lambda: _decompress_chunk_slow(BLOB)))
+        slow = (best_of(lambda: compress_chunk_slow(TIMES, VALUES))
+                + best_of(lambda: decompress_chunk_slow(BLOB)))
         fast = (best_of(lambda: compress_chunk(TIMES, VALUES))
                 + best_of(lambda: decompress_chunk(BLOB, HINT)))
         speedup = slow / fast

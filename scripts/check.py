@@ -22,11 +22,12 @@ at runtime, and the check keeps the whole package honest, not just that
 pair.
 
 Both paths also gate on **per-sample loops over batch columns** inside
-``src/repro/analysis``: the streaming analysis plane is columnar, so a
-``for ... in zip(batch.components, ...)`` loop (or direct iteration
-over ``.components`` / ``.times`` / ``.values``) on the hot plane is a
-regression.  The retained scalar reference implementations mark their
-loops with ``# per-sample: allowed``.
+``src/repro/analysis``, ``src/repro/serve`` and ``src/repro/storage``:
+those planes are columnar, so a ``for ... in zip(batch.components,
+...)`` loop (or direct iteration over ``.components`` / ``.times`` /
+``.values``, or over a ``.tolist()`` of one, directly or through a
+variable) on a hot plane is a regression.  A deliberate per-sample
+loop marks its line with ``# per-sample: allowed``.
 
 Both paths also gate on **module-level mutable state** inside
 ``src/repro/transport`` and ``src/repro/storage``: the parallel runtime
@@ -257,14 +258,27 @@ def _is_batch_column(node: ast.expr) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in _BATCH_COLUMNS
 
 
+def _is_column_list(node: ast.expr) -> bool:
+    """``<...batch column...>.tolist()``, e.g. ``batch.times.tolist()``
+    or ``np.asarray(batch.values).tolist()``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "tolist"
+        and any(_is_batch_column(n) for n in ast.walk(node.func.value))
+    )
+
+
 def check_columnar(path: Path) -> list[str]:
-    """Flag per-sample loops over batch columns in one analysis module.
+    """Flag per-sample loops over batch columns in one columnar module.
 
     Catches ``for ... in zip(batch.components, ...)`` (any batch column
     among the zip arguments) and direct ``for x in batch.values`` style
-    iteration, in both statement loops and comprehensions.  A loop whose
-    source line carries ``# per-sample: allowed`` is exempt — that is
-    how the retained scalar reference implementations opt out.
+    iteration, in both statement loops and comprehensions — also when
+    the column is first converted with ``.tolist()``, inline or into a
+    variable (``comps = batch.components.tolist()`` then ``for c in
+    comps``).  A loop whose source line carries ``# per-sample:
+    allowed`` is exempt.
     """
     src = path.read_text()
     try:
@@ -273,20 +287,39 @@ def check_columnar(path: Path) -> list[str]:
         return []                    # surfaced by check_file already
     lines = src.splitlines()
     problems: list[str] = []
-    loops: list[tuple[int, ast.expr]] = []
-    for node in ast.walk(tree):
+    # (lineno, loop iterable, names bound to a column's Python list in
+    # the innermost enclosing function)
+    loops: list[tuple[int, ast.expr, set[str]]] = []
+
+    def visit(node: ast.AST, listed: set[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            listed = {
+                t.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Assign) and _is_column_list(n.value)
+                for t in n.targets if isinstance(t, ast.Name)
+            }
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            loops.append((node.lineno, node.iter))
+            loops.append((node.lineno, node.iter, listed))
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                ast.GeneratorExp)):
             for gen in node.generators:
-                loops.append((gen.iter.lineno, gen.iter))
-    for lineno, it in loops:
-        hit = _is_batch_column(it) or (
+                loops.append((gen.iter.lineno, gen.iter, listed))
+        for child in ast.iter_child_nodes(node):
+            visit(child, listed)
+
+    visit(tree, set())
+
+    def per_sample(it: ast.expr, listed: set[str]) -> bool:
+        return (_is_batch_column(it) or _is_column_list(it)
+                or (isinstance(it, ast.Name) and it.id in listed))
+
+    for lineno, it, listed in loops:
+        hit = per_sample(it, listed) or (
             isinstance(it, ast.Call)
             and isinstance(it.func, ast.Name)
             and it.func.id in ("zip", "enumerate")
-            and any(_is_batch_column(a) for a in it.args)
+            and any(per_sample(a, listed) for a in it.args)
         )
         if not hit:
             continue
@@ -294,8 +327,8 @@ def check_columnar(path: Path) -> list[str]:
         if any(_PER_SAMPLE_MARKER in line for line in span):
             continue
         problems.append(
-            f"{path}:{lineno}: per-sample loop over batch columns in the "
-            f"streaming analysis plane; vectorize it or mark the line "
+            f"{path}:{lineno}: per-sample loop over batch columns in a "
+            f"columnar plane; vectorize it or mark the line "
             f"'{_PER_SAMPLE_MARKER}'"
         )
     return problems
@@ -669,8 +702,9 @@ def check_config_drift(
 
 
 #: packages held to the no-per-sample-loop rule: the streaming analysis
-#: plane and the serving plane (both sit on the query hot path)
-_COLUMNAR_DIRS = ("analysis", "serve")
+#: plane, the serving plane (both on the query hot path) and storage
+#: (the ingest hot path)
+_COLUMNAR_DIRS = ("analysis", "serve", "storage")
 
 
 def check_columnar_analysis() -> list[str]:

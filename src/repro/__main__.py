@@ -276,18 +276,19 @@ def cmd_scale(args) -> int:
 
 
 def _scale_storage_plane(args) -> None:
-    """The storage-plane rows of ``scale``: ingest rate, cold/warm query
-    latency, and compression ratio of the vectorized TSDB data plane."""
+    """The storage-plane rows of ``scale``: sweep ingest rate, cold/warm
+    query latency, and compression ratio of the columnar TSDB."""
     import time as _time
 
     import numpy as np
 
-    from .core.metric import SeriesBatch
+    from .core.metric import SeriesBatch, component_array
     from .storage.chunkcache import ChunkCache
     from .storage.tsdb import TimeSeriesStore
 
     n_comps, n_sweeps, chunk_size = 256, 2048, 512
-    comps = np.array([f"n{i:04d}" for i in range(n_comps)])
+    # one component array for every sweep, as collectors publish it
+    comps = component_array(f"n{i:04d}" for i in range(n_comps))
     rng = np.random.default_rng(args.seed)
     store = TimeSeriesStore(chunk_size=chunk_size)
     t0 = _time.perf_counter()
@@ -296,6 +297,7 @@ def _scale_storage_plane(args) -> None:
                                  np.full(n_comps, 60.0 * s),
                                  rng.normal(250.0, 15.0, n_comps)))
     ingest_wall = _time.perf_counter() - t0
+    sealed = store.stats().sealed_chunks
     store.flush()
     stats = store.stats()
     span = n_sweeps * 60.0
@@ -318,7 +320,8 @@ def _scale_storage_plane(args) -> None:
     print(f"\nstorage plane ({n_comps} series x {n_sweeps} sweeps, "
           f"chunk_size={chunk_size}):")
     print(f"  ingest rate       {stats.samples / ingest_wall:12,.0f} "
-          f"samples/s (batch append)")
+          f"samples/s (sweeps into 2-D heads, {sealed:,} chunks "
+          f"batch-sealed)")
     print(f"  cold query        {1e3 * cold:12.3f} ms/series "
           f"(decompress every chunk)")
     print(f"  warm query        {1e3 * warm:12.3f} ms/series "

@@ -140,18 +140,17 @@ def detect_load_imbalance(
     exceeds ``spread_threshold`` and names the hot and cold cabinets.
     """
     vals = cabinet_sweep.values
-    comps = [str(c) for c in cabinet_sweep.components.tolist()]
     finite = np.isfinite(vals) & (vals > 0)
     v = vals[finite]
-    names = [c for c, ok in zip(comps, finite) if ok]
+    names = cabinet_sweep.components[finite]
     if len(v) < 2:
         return ImbalanceFinding(False, 1.0, 0.0, (), ())
     spread = float(v.max() / v.min())
     cov = float(v.std() / v.mean())
     detected = spread >= spread_threshold
     med = np.median(v)
-    hot = tuple(n for n, x in zip(names, v) if x > 1.25 * med)
-    cold = tuple(n for n, x in zip(names, v) if x < 0.75 * med)
+    hot = tuple(str(n) for n in names[v > 1.25 * med].tolist())
+    cold = tuple(str(n) for n in names[v < 0.75 * med].tolist())
     return ImbalanceFinding(detected, spread, cov, hot, cold)
 
 

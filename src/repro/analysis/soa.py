@@ -9,18 +9,18 @@ index plus parallel float64 state columns, grown amortized-doubling as
 new components appear.  Detectors fancy-index whole sweeps against the
 columns in a handful of numpy operations.
 
-The only irreducibly per-component work is the string -> row mapping;
-the table memoizes it by the *identity* of the components array, so
-collectors that republish the same component array (the common steady
-state) pay for the mapping once.  Component arrays must therefore be
-treated as immutable once published — the same rule
-:class:`~repro.core.metric.SeriesBatch` already implies by exposing
-views, not copies.
+The component -> row mapping is the shared
+:class:`~repro.core.rowindex.RowIndex`, memoized by the identity of the
+components array (the store's open-head blocks use the same index), so
+collectors that republish the same component array pay for the mapping
+once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..core.rowindex import RowIndex
 
 __all__ = ["ComponentTable"]
 
@@ -37,18 +37,17 @@ class ComponentTable:
         if not columns:
             raise ValueError("ComponentTable needs at least one column")
         self._fill = {k: float(v) for k, v in columns.items()}
-        self.index: dict[str, int] = {}
-        self.size = 0
+        self._rows = RowIndex()
         self._cap = 0
         for name, fill in self._fill.items():
             setattr(self, name, np.empty(0, dtype=np.float64))
-        # identity-memoized mapping of the most recent components array
-        self._memo_comps: np.ndarray | None = None
-        self._memo_rows: np.ndarray | None = None
-        self._memo_unique = True
 
     def __len__(self) -> int:
-        return self.size
+        return len(self._rows)
+
+    @property
+    def size(self) -> int:
+        return len(self._rows)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -71,34 +70,13 @@ class ComponentTable:
     def rows(self, components: np.ndarray) -> tuple[np.ndarray, bool]:
         """Row index per component, registering new components.
 
-        Returns ``(rows, unique)`` where ``unique`` is True when no
-        component repeats within ``components`` — the signal detectors
-        use to take the sort-free fancy-indexing fast path.  The result
-        is memoized by array identity, so repeated sweeps over the same
-        component array skip the per-component mapping entirely.
+        Returns ``(rows, unique)`` from :meth:`RowIndex.rows` and grows
+        every column to cover the new rows.
         """
-        if components is self._memo_comps:
-            return self._memo_rows, self._memo_unique
-        comps = components.tolist()
-        index = self.index
-        before = self.size
-        size = before
-        rows = np.empty(len(comps), dtype=np.intp)
-        for i, c in enumerate(comps):
-            r = index.get(c)
-            if r is None:
-                r = index[c] = size
-                size += 1
-            rows[i] = r
-        self.size = size
-        self._ensure(size)
-        # all-new components are unique by construction; otherwise check
-        unique = (size - before == len(comps)) or len(set(comps)) == len(comps)
-        self._memo_comps = components
-        self._memo_rows = rows
-        self._memo_unique = unique
-        return rows, unique
+        out = self._rows.rows(components)
+        self._ensure(len(self._rows))
+        return out
 
     def row(self, component: str) -> int | None:
         """Row of one component, or None when it was never observed."""
-        return self.index.get(component)
+        return self._rows.row(component)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.metric import component_array
+
 __all__ = ["GpuStore"]
 
 
@@ -37,6 +39,10 @@ class GpuStore:
         seed: int = 0,
     ) -> None:
         self.host_nodes = list(host_nodes)
+        #: GPU component cnames: host node cname + 'g0' (list, and one
+        #: read-only array every GPU sweep publishes)
+        self.names: list[str] = [f"{n}g0" for n in self.host_nodes]
+        self.name_array = component_array(self.names)
         self.index = {n: i for i, n in enumerate(self.host_nodes)}
         n = len(self.host_nodes)
         self.n = n
@@ -49,11 +55,6 @@ class GpuStore:
         self.temp_c = np.full(n, 40.0)
         self.ecc_dbe = np.zeros(n, dtype=np.int64)
         self.base_fail_per_year = float(base_fail_per_year)
-
-    @property
-    def names(self) -> list[str]:
-        """GPU component cnames: host node cname + 'g0'."""
-        return [f"{n}g0" for n in self.host_nodes]
 
     def step(
         self,

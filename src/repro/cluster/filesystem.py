@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.metric import component_array
+
 __all__ = ["IODemand", "LustreFS"]
 
 
@@ -54,6 +56,9 @@ class LustreFS:
     ) -> None:
         self.name = name
         self.n_ost = int(n_ost)
+        #: OST names as one read-only array, published by every OST
+        #: sweep (see :func:`~repro.core.metric.component_array`)
+        self.ost_name_array = component_array(self.ost_names())
         self.ost_bw_Bps = float(ost_bw_Bps)
         self.ost_capacity_bytes = float(ost_capacity_bytes)
         self.mds_ops_per_s = float(mds_ops_per_s)

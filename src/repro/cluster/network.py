@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.metric import component_array
 from .topology import NoRouteError, Topology
 
 __all__ = ["Flow", "NetworkState", "FLIT_BYTES"]
@@ -67,6 +68,9 @@ class NetworkState:
         self.detours = 0
         n_links = len(topo.links)
         n_nodes = len(topo.nodes)
+        #: link names as one read-only array, published by every link
+        #: sweep (see :func:`~repro.core.metric.component_array`)
+        self.link_name_array = component_array(l.name for l in topo.links)
         rng = np.random.default_rng(seed)
         self._rng = rng
 

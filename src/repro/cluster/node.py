@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.metric import component_array
+
 __all__ = ["ESSENTIAL_SERVICES", "NodeStore", "Node"]
 
 # Services every compute node must run; LANL-style checks verify each.
@@ -48,6 +50,9 @@ class NodeStore:
         seed: int = 0,
     ) -> None:
         self.names: list[str] = list(names)
+        #: the same names as one read-only array, published by every
+        #: node sweep (see :func:`~repro.core.metric.component_array`)
+        self.name_array = component_array(self.names)
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
         n = len(self.names)
         self.n = n

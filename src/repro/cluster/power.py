@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.metric import component_array
 from .node import NodeStore
 from .topology import Topology
 
@@ -40,6 +41,7 @@ class PowerModel:
         self.blower_base_w = float(blower_base_w)
         self.blower_dyn_w = float(blower_dyn_w)
         self.cabinets = topo.cabinets
+        self.cabinet_name_array = component_array(self.cabinets)
         cab_index = {c: i for i, c in enumerate(self.cabinets)}
         self.node_cab_idx = np.fromiter(
             (cab_index[topo.node_cabinet[n]] for n in nodes.names),
@@ -63,6 +65,3 @@ class PowerModel:
 
     def system_power_w(self) -> float:
         return float(self.cabinet_power_w().sum())
-
-    def cabinet_names(self) -> list[str]:
-        return list(self.cabinets)

@@ -35,6 +35,7 @@ __all__ = [
     "MetricKey",
     "Sample",
     "SeriesBatch",
+    "component_array",
     "merge_batches",
     "samples_to_batches",
 ]
@@ -221,6 +222,20 @@ class SeriesBatch:
         """Mean of finite values; NaN when no finite values exist."""
         finite = self.values[np.isfinite(self.values)]
         return float(finite.mean()) if len(finite) else float("nan")
+
+
+def component_array(names: Iterable[str]) -> np.ndarray:
+    """A read-only object array of component names.
+
+    Sources that publish the same components every sweep build this
+    once and pass it to every batch.  Consumers memoize per-array work
+    (row mapping, shard routing, WAL framing) by the array's identity,
+    so a fresh array per sweep would defeat every memo; read-only makes
+    the immutability those memos assume explicit.
+    """
+    arr = np.array(list(names), dtype=object)
+    arr.flags.writeable = False
+    return arr
 
 
 def merge_batches(batches: Sequence[SeriesBatch]) -> SeriesBatch:

@@ -50,7 +50,7 @@ class FsProbeCollector(Collector):
         return CollectorOutput(
             batches=[
                 SeriesBatch.sweep(
-                    "probe.io_latency_s", now, fs.ost_names(), lat
+                    "probe.io_latency_s", now, fs.ost_name_array, lat
                 ),
                 SeriesBatch.sweep(
                     "probe.md_latency_s", now, [f"{fs.name}-mds"], [md]
@@ -76,7 +76,7 @@ class OstCounterCollector(Collector):
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         fs = machine.fs
-        names = fs.ost_names()
+        names = fs.ost_name_array
         batches = [
             SeriesBatch.sweep("ost.read_bps", now, names,
                               fs.ost_read_Bps.copy()),

@@ -241,7 +241,8 @@ class NodeHealthSuite(Collector):
                         )
                     )
         out.batches.append(
-            SeriesBatch.sweep("health.pass_frac", now, names, fracs)
+            SeriesBatch.sweep("health.pass_frac", now,
+                              machine.nodes.name_array, fracs)
         )
         return out
 

@@ -35,7 +35,7 @@ class PowerCollector(Collector):
         return CollectorOutput(
             batches=[
                 SeriesBatch.sweep(
-                    "cabinet.power_w", now, self._pm.cabinet_names(), cab
+                    "cabinet.power_w", now, self._pm.cabinet_name_array, cab
                 ),
                 SeriesBatch.sweep(
                     "system.power_w", now, ["system"], [float(cab.sum())]

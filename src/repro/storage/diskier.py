@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
+from ..core.rowindex import IdentityMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .chunkcache import ChunkCache
@@ -72,9 +73,14 @@ __all__ = [
 #
 # segment record: magic, metric_len, comp_len, blob_len, crc32 over
 # (metric + comp + blob); the ChunkRef offset points at the blob itself
-# so mmap reads land on the compressed bytes directly.
+# so mmap reads land on the compressed bytes directly.  The magic also
+# says whether the chunk's samples went through the WAL: recovery skips
+# exactly the WAL samples that logged chunks already hold, so a chunk
+# that never touched the WAL (a chunk-aligned bulk load, an imported
+# chunk) must not be counted against it.
 _SEG_HDR = struct.Struct("<2sHHII")
 _SEG_MAGIC = b"SG"
+_SEG_MAGIC_UNLOGGED = b"SU"
 # wal record: magic, payload_len, crc32(payload)
 _WAL_HDR = struct.Struct("<2sII")
 _WAL_MAGIC = b"WL"
@@ -198,28 +204,31 @@ class _Wal:
         self.syncs = 0
 
 
-def _encode_wal_batch(metric: str, comps: Sequence, times: np.ndarray,
-                      values: np.ndarray) -> bytes:
-    """Frame one batch.  Mode 1 stores a uniform component once (the
-    series-chunk ingest shape, where per-element encoding would dominate
-    the whole WAL cost); mode 0 is the general per-element layout."""
-    mb = metric.encode("utf-8")
+def _encode_components(comps: Sequence) -> tuple[int, bytes]:
+    """``(mode, block)`` framing a batch's components.  Mode 1 stores a
+    uniform component once (the series-chunk ingest shape, where
+    per-element encoding would dominate the whole WAL cost); mode 0 is
+    the general per-element layout."""
     n = len(comps)
-    t = np.ascontiguousarray(times, dtype=np.float64)
-    v = np.ascontiguousarray(values, dtype=np.float64)
     c0 = comps[0] if n else ""
     if n and bool((np.asarray(comps, dtype=object) == c0).all()):
         cb = str(c0).encode("utf-8")
-        comp_block = struct.pack("<H", len(cb)) + cb
-        mode = 1
-    else:
-        cbs = [str(c).encode("utf-8") for c in comps]
-        lens = np.fromiter((len(b) for b in cbs), dtype=np.uint32,
-                           count=n)
-        comp_block = lens.tobytes() + b"".join(cbs)
-        mode = 0
+        return 1, struct.pack("<H", len(cb)) + cb
+    cbs = [str(c).encode("utf-8") for c in comps]
+    lens = np.fromiter((len(b) for b in cbs), dtype=np.uint32, count=n)
+    return 0, lens.tobytes() + b"".join(cbs)
+
+
+def _encode_wal_batch(metric: str, comp_block: tuple[int, bytes],
+                      times: np.ndarray, values: np.ndarray) -> bytes:
+    """Frame one batch; ``comp_block`` is :func:`_encode_components` of
+    its components."""
+    mode, block = comp_block
+    mb = metric.encode("utf-8")
+    t = np.ascontiguousarray(times, dtype=np.float64)
+    v = np.ascontiguousarray(values, dtype=np.float64)
     return b"".join((
-        struct.pack("<BHI", mode, len(mb), n), mb, comp_block,
+        struct.pack("<BHI", mode, len(mb), len(t)), mb, block,
         t.tobytes(), v.tobytes(),
     ))
 
@@ -277,12 +286,14 @@ def _scan_wal(data: bytes) -> tuple[list[bytes], int]:
 
 def _scan_segment(
     data, start: int
-) -> tuple[list[tuple[str, str, int, bytes]], int]:
+) -> tuple[list[tuple[str, str, int, bytes, bool]], int]:
     """Parse segment records from ``start`` up to the first torn record.
 
-    Returns ``([(metric, component, blob_offset, blob)], consumed)``.
+    Returns ``([(metric, component, blob_offset, blob, logged)],
+    consumed)``; ``logged`` is False for chunks whose samples never
+    went through the WAL.
     """
-    out: list[tuple[str, str, int, bytes]] = []
+    out: list[tuple[str, str, int, bytes, bool]] = []
     pos = start
     size = len(data)
     hdr = _SEG_HDR.size
@@ -290,14 +301,15 @@ def _scan_segment(
         magic, mlen, clen, blen, crc = _SEG_HDR.unpack_from(data, pos)
         boff = pos + hdr + mlen + clen
         end = boff + blen
-        if magic != _SEG_MAGIC or end > size:
+        if magic not in (_SEG_MAGIC, _SEG_MAGIC_UNLOGGED) or end > size:
             break
         body = bytes(data[pos + hdr:end])
         if zlib.crc32(body) != crc:
             break
         metric = body[:mlen].decode("utf-8")
         comp = body[mlen:mlen + clen].decode("utf-8")
-        out.append((metric, comp, boff, body[mlen + clen:]))
+        out.append((metric, comp, boff, body[mlen + clen:],
+                    magic == _SEG_MAGIC))
         pos = end
     return out, pos
 
@@ -348,6 +360,9 @@ class DiskTier:
         self._loads = 0
         self._map_hits = 0
         self._remaps = 0
+        # per-metric encoded component block, keyed by the identity of
+        # the batch's component array (sweeps republish the same one)
+        self._comp_memo: dict[str, IdentityMemo] = {}
 
     # -- paths / handles ----------------------------------------------------
 
@@ -385,8 +400,15 @@ class DiskTier:
     def wal_append(self, batch: SeriesBatch) -> None:
         """Log one ingest batch before it reaches any head chunk."""
         self._check_alive()
-        payload = _encode_wal_batch(batch.metric, batch.components,
-                                    batch.times, batch.values)
+        memo = self._comp_memo.get(batch.metric)
+        if memo is None:
+            memo = self._comp_memo[batch.metric] = IdentityMemo()
+        block = memo.get(batch.components)
+        if block is None:
+            block = memo.put(batch.components,
+                             _encode_components(batch.components))
+        payload = _encode_wal_batch(batch.metric, block, batch.times,
+                                    batch.values)
         wal = self._wal
         wal.writer.write(_WAL_HDR.pack(_WAL_MAGIC, len(payload),
                                        zlib.crc32(payload)) + payload)
@@ -396,8 +418,12 @@ class DiskTier:
         if self._unsynced >= self.sync_every_bytes:
             self.sync()
 
-    def append_blob(self, metric: str, comp: str, blob: bytes) -> ChunkRef:
-        """Append one sealed blob to the active segment -> its ref."""
+    def append_blob(self, metric: str, comp: str, blob: bytes,
+                    logged: bool = True) -> ChunkRef:
+        """Append one sealed blob to the active segment -> its ref.
+
+        ``logged=False`` marks a chunk whose samples were never written
+        to the WAL (see ``_SEG_MAGIC_UNLOGGED``)."""
         self._check_alive()
         seg = self._segments[self._active_id]
         if seg.size >= self.segment_bytes:
@@ -406,7 +432,8 @@ class DiskTier:
         cb = comp.encode("utf-8")
         body = mb + cb + blob
         w = self._writer(seg)
-        w.write(_SEG_HDR.pack(_SEG_MAGIC, len(mb), len(cb), len(blob),
+        magic = _SEG_MAGIC if logged else _SEG_MAGIC_UNLOGGED
+        w.write(_SEG_HDR.pack(magic, len(mb), len(cb), len(blob),
                               zlib.crc32(body)) + body)
         off = seg.size + _SEG_HDR.size + len(mb) + len(cb)
         seg.size = off + len(blob)
@@ -429,9 +456,11 @@ class DiskTier:
         self._active_id = nid
         return new
 
-    def on_seal(self, series: "_Series", blob: bytes, cid: int) -> ChunkRef:
+    def on_seal(self, series: "_Series", blob: bytes, cid: int,
+                logged: bool = True) -> ChunkRef:
         """Seal hook: persist the blob, track it in the hot LRU."""
-        ref = self.append_blob(series.key.metric, series.key.component, blob)
+        ref = self.append_blob(series.key.metric, series.key.component, blob,
+                               logged)
         self._hot[cid] = series
         self.hot_bytes_used += len(blob)
         return ref
@@ -566,6 +595,7 @@ class DiskTier:
         self.sync()
         series_state = {}
         for key, s in store._series.items():
+            head_t, head_v = s.head()
             series_state[(key.metric, key.component)] = {
                 "refs": [(r.segment, r.offset, r.length)
                          for r in s.chunk_refs],
@@ -574,8 +604,8 @@ class DiskTier:
                 "hints": list(s.chunk_hints),
                 "n_sealed": s.n_sealed_samples,
                 "sealed_bytes": s.sealed_bytes,
-                "head_t": list(s.head_t),
-                "head_v": list(s.head_v),
+                "head_t": head_t.tolist(),
+                "head_v": head_v.tolist(),
                 "pyramid": (s.pyramid.export_state()
                             if s.pyramid is not None else None),
             }
@@ -670,14 +700,14 @@ def _read_manifest(root: Path) -> dict | None:
 
 def _scan_segments_on_disk(
     root: Path, covered: Mapping[int, int]
-) -> tuple[list[tuple[int, str, str, int, bytes]], int]:
+) -> tuple[list[tuple[int, str, str, int, bytes, bool]], int]:
     """Records beyond each segment's manifest-covered extent.
 
     Torn tails are truncated away on disk so the reopened tier appends
     at a clean record boundary.  Returns
-    ``([(segment, metric, comp, blob_off, blob)], torn_bytes)``.
+    ``([(segment, metric, comp, blob_off, blob, logged)], torn_bytes)``.
     """
-    out: list[tuple[int, str, str, int, bytes]] = []
+    out: list[tuple[int, str, str, int, bytes, bool]] = []
     torn = 0
     for path in sorted(root.glob("seg-*.dat")):
         sid = int(path.stem.split("-")[1])
@@ -688,7 +718,7 @@ def _scan_segments_on_disk(
         with open(path, "rb") as f:
             data = f.read()
         recs, consumed = _scan_segment(data, start)
-        out.extend((sid, m, c, off, blob) for m, c, off, blob in recs)
+        out.extend((sid, *rec) for rec in recs)
         if consumed < size:
             torn += size - consumed
             with open(path, "r+b") as f:
@@ -756,7 +786,6 @@ def recover_store(
 
     manifest_chunks = 0
     manifest_heads: dict[MetricKey, tuple[list, list]] = {}
-    base_sealed: dict[MetricKey, int] = {}
     if manifest:
         for (metric, comp), st in manifest["series"].items():
             key = MetricKey(metric, comp)
@@ -773,7 +802,6 @@ def recover_store(
                 s.pyramid = SeriesPyramid.from_state(st["pyramid"])
             manifest_chunks += len(s.chunk_refs)
             manifest_heads[key] = (list(st["head_t"]), list(st["head_v"]))
-            base_sealed[key] = s.n_sealed_samples
             store._samples += s.n_sealed_samples
             store._sealed_samples += s.n_sealed_samples
             store._sealed_chunks += len(s.chunk_refs)
@@ -782,7 +810,8 @@ def recover_store(
     # 2) chunks sealed after the snapshot: one decompress each rebuilds
     # span/summary/hint and folds the pyramid; the blob stays on disk.
     scanned_chunks = 0
-    for sid, metric, comp, boff, blob in scanned:
+    walled: dict[MetricKey, int] = {}     # scanned samples the WAL holds
+    for sid, metric, comp, boff, blob, logged in scanned:
         ct, cv = decompress_chunk(blob)
         if not len(ct):
             continue
@@ -798,6 +827,8 @@ def recover_store(
             s.pyramid.add_sealed(ct, cv, s.n_sealed_samples)
         s.n_sealed_samples += len(ct)
         s.sealed_bytes += len(blob)
+        if logged:
+            walled[key] = walled.get(key, 0) + len(ct)
         store._samples += len(ct)
         store._sealed_samples += len(ct)
         store._sealed_chunks += 1
@@ -805,18 +836,18 @@ def recover_store(
         scanned_chunks += 1
 
     # 3) dedup bookkeeping: a series' arrival stream was
-    # [manifest-sealed | manifest-head | wal records]; sealed chunks
-    # recovered above cover a prefix, so drop exactly that prefix from
-    # the head and the WAL replay.
+    # [manifest-sealed | manifest-head | wal records], plus whole chunks
+    # that bypassed the WAL; logged chunks recovered above cover a
+    # prefix of the rest, so drop exactly that prefix from the head and
+    # the WAL replay.
     wal_skip: dict[MetricKey, int] = {}
     for key, s in store._series.items():
         head_t, head_v = manifest_heads.get(key, ([], []))
-        drop = s.n_sealed_samples - base_sealed.get(key, 0)
+        drop = walled.get(key, 0)
         if drop > 0:
             wal_skip[key] = max(0, drop - len(head_t))
             head_t, head_v = head_t[drop:], head_v[drop:]
-        s.head_t, s.head_v = head_t, head_v
-        store._samples += len(head_t)
+        store._restore_head(s, head_t, head_v)
 
     replayed = skipped = 0
     for payload in wal_payloads:

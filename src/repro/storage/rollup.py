@@ -31,11 +31,13 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_LEVELS",
+    "FoldedRows",
     "MAX_PLANNER_TIME",
     "SeriesPyramid",
     "bucket_anchor",
     "choose_level",
     "fold_partials",
+    "fold_rows",
     "reduce_partials",
     "series_first_time",
     "series_window_partials",
@@ -108,6 +110,62 @@ def fold_partials(
         v[last],
         seq_last,
     )
+
+
+class FoldedRows:
+    """Partial columns of many folded chunks, concatenated.
+
+    Chunk ``i``'s piece is rows ``bounds[i]:bounds[i + 1]`` of every
+    column; :meth:`piece` slices it out only when a reader needs it, so
+    a batched seal hands each series a reference, not eight slices.
+    """
+
+    __slots__ = ("cols", "bounds")
+
+    def __init__(self, cols: tuple[np.ndarray, ...],
+                 bounds: Sequence[int]) -> None:
+        self.cols = cols
+        self.bounds = bounds
+
+    def piece(self, i: int) -> tuple[np.ndarray, ...]:
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return tuple(c[lo:hi] for c in self.cols)
+
+
+def fold_rows(
+    t: np.ndarray,
+    v: np.ndarray,
+    step: float,
+    seq_base: np.ndarray,
+) -> FoldedRows:
+    """:func:`fold_partials` of every row of a ``(rows, L)`` block at once.
+
+    Each row is one time-sorted sealed chunk on the grid anchored at 0
+    (the pyramid case), its samples numbered from ``seq_base[row]``.  One
+    reduceat over the flattened block, cut at bucket changes *and* at row
+    boundaries: piece ``i`` is bit-identical to
+    ``fold_partials(t[i], v[i], 0.0, step, seq_base=seq_base[i])``.
+    """
+    rows, n = t.shape
+    buckets = np.floor((t - 0.0) / step).astype(np.int64)
+    cut = np.empty((rows, n), dtype=bool)
+    cut[:, 0] = True
+    np.not_equal(buckets[:, 1:], buckets[:, :-1], out=cut[:, 1:])
+    starts = np.flatnonzero(cut)
+    last = np.append(starts[1:], rows * n) - 1
+    row_of = starts // n
+    vf = v.ravel()
+    cols = (
+        buckets.ravel()[starts],
+        last + 1 - starts,
+        np.add.reduceat(vf, starts),
+        np.minimum.reduceat(vf, starts),
+        np.maximum.reduceat(vf, starts),
+        t.ravel()[last],
+        vf[last],
+        seq_base[row_of] + (last - row_of * n),
+    )
+    return FoldedRows(cols, [0] + np.cumsum(cut.sum(axis=1)).tolist())
 
 
 def reduce_partials(
@@ -183,7 +241,8 @@ class SeriesPyramid:
             raise ValueError("pyramid levels must be positive")
         self.levels = lv
         self.samples_folded = 0
-        self._pieces: dict[float, list[tuple[np.ndarray, ...]]] = {
+        # per level: (folded block, index) refs, sliced on merge
+        self._pieces: dict[float, list[tuple[FoldedRows, int]]] = {
             x: [] for x in lv
         }
         self._merged: dict[float, tuple[np.ndarray, ...]] = {}
@@ -198,18 +257,28 @@ class SeriesPyramid:
         """
         if not len(t):
             return
-        for lv in self.levels:
-            self._pieces[lv].append(
-                fold_partials(t, v, 0.0, lv, seq_base=seq_base)
-            )
+        self.add_folded(
+            [_single(fold_partials(t, v, 0.0, lv, seq_base=seq_base))
+             for lv in self.levels],
+            0, len(t),
+        )
+
+    def add_folded(self, folds: Sequence[FoldedRows], i: int,
+                   n: int) -> None:
+        """Add sealed chunk ``i`` (``n`` samples) of already-folded
+        blocks, one per level in :attr:`levels` order (the batched seal
+        folds many chunks at once with :func:`fold_rows`)."""
+        for lv, fold in zip(self.levels, folds):
+            self._pieces[lv].append((fold, i))
             self._merged.pop(lv, None)
-        self.samples_folded += len(t)
+        self.samples_folded += n
 
     def level_columns(self, level: float) -> tuple[np.ndarray, ...]:
         """Merged partial columns of one level, sorted by bucket id."""
         cols = self._merged.get(level)
         if cols is None:
-            cols = _merge_pieces(tuple(self._pieces[level]))
+            cols = _merge_pieces(tuple(f.piece(i)
+                                       for f, i in self._pieces[level]))
             self._merged[level] = cols
         return cols
 
@@ -236,8 +305,12 @@ class SeriesPyramid:
         p.samples_folded = int(state["samples_folded"])
         for lv, cols in state["pieces"].items():
             if len(cols[0]):
-                p._pieces[float(lv)].append(tuple(cols))
+                p._pieces[float(lv)].append((_single(tuple(cols)), 0))
         return p
+
+
+def _single(cols: tuple[np.ndarray, ...]) -> FoldedRows:
+    return FoldedRows(cols, (0, len(cols[0])))
 
 
 def _merge_pieces(
@@ -303,8 +376,11 @@ def series_first_time(series) -> float:
     for span in series.chunk_spans:
         if span[0] < lo:
             lo = span[0]
-    if series.head_t:
-        head_lo = min(series.head_t)
+    ht, _ = series.head()
+    if len(ht):
+        # Python's min, not np.min: a NaN time is skipped unless it
+        # arrived first
+        head_lo = min(ht.tolist())
         if head_lo < lo:
             lo = head_lo
     return lo
@@ -363,9 +439,8 @@ def series_window_partials(
         et, ev = series.read(full_hi, t1, cache)
         if len(et):
             pieces.append(fold_partials(et, ev, anchor, step))
-    if series.head_t:
-        ht = np.asarray(series.head_t)
-        hv = np.asarray(series.head_v)
+    ht, hv = series.head()
+    if len(ht):
         mask = (ht >= full_lo) & (ht < full_hi)
         if mask.any():
             seq = series.n_sealed_samples + np.flatnonzero(mask)

@@ -25,7 +25,6 @@ is what the redo bound explicitly evicted.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -34,6 +33,7 @@ import numpy as np
 from ..core.hashing import stable_bucket
 from ..core.lifecycle import Health
 from ..core.metric import MetricKey, SeriesBatch
+from ..core.rowindex import IdentityMemo
 from ..core.tracectx import HOP_INGEST
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .tsdb import SeriesQueryMixin, StoreStats, TimeSeriesStore
@@ -103,11 +103,9 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         self.redo_deferred = 0    # points ever parked
         self.redo_evicted = 0     # points evicted by the bound (lost)
         self.redo_replayed = 0    # points replayed on recovery
-        # per-components-array routing memo: synchronized sweeps publish
-        # the same component arrays every tick, so the CRC walk runs
-        # once per (array, metric) instead of once per batch; entries
-        # die with the array (weakref.finalize), so id() cannot alias
-        self._route_memo: dict[int, dict[str, np.ndarray]] = {}
+        # per-metric routing memo keyed by component-array identity
+        # (see _routing)
+        self._route_memo: dict[str, IdentityMemo] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -116,34 +114,34 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         the answer changes only when ``n_shards`` does)."""
         return stable_bucket(f"{metric}@{component}", self.n_shards)
 
-    def _routing(self, metric: str, components: np.ndarray,
-                 n: int) -> np.ndarray:
-        """Per-sample owning-shard indices, memoized per component array.
+    def _routing(self, metric: str, components: np.ndarray
+                 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(shard, sample indices, their components)`` per owning
+        shard, in ascending shard order, memoized per component array.
 
-        Component arrays are treated as immutable once published (the
-        collector/merge paths always build fresh arrays), so the memo
-        can key on array identity; finalizers evict entries when the
-        array dies, before its ``id`` can be reused.
+        Sweeps republish the same read-only component array, so the CRC
+        walk runs once per (metric, array), and every shard receives the
+        *same* component sub-array each sweep — which in turn keeps the
+        shard store's own identity memo hitting.
         """
-        key = id(components)
-        per = self._route_memo.get(key)
-        if per is not None:
-            idx = per.get(metric)
-            if idx is not None:
-                return idx
-        idx = np.fromiter(
-            (self.shard_of(metric, str(c)) for c in components),
-            dtype=np.int64,
-            count=n,
-        )
-        if per is None:
-            try:
-                weakref.finalize(components, self._route_memo.pop, key, None)
-            except TypeError:
-                return idx   # not weakref-able: never memo on raw id()
-            per = self._route_memo[key] = {}
-        per[metric] = idx
-        return idx
+        memo = self._route_memo.get(metric)
+        if memo is None:
+            memo = self._route_memo[metric] = IdentityMemo()
+        plan = memo.get(components)
+        if plan is None:
+            idx = np.fromiter(
+                (self.shard_of(metric, str(c)) for c in components.tolist()),
+                dtype=np.int64,
+                count=len(components),
+            )
+            plan = []
+            for shard_i in np.unique(idx).tolist():
+                sel = np.flatnonzero(idx == shard_i)
+                comps = components[sel]
+                comps.flags.writeable = False
+                plan.append((shard_i, sel, comps))
+            memo.put(components, plan)
+        return plan
 
     def _owner(self, metric: str, component: str) -> TimeSeriesStore:
         return self.shards[self.shard_of(metric, component)]
@@ -246,16 +244,11 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             return []
         if self.clock is not None and batch.trace is not None:
             batch.trace.stamp(HOP_INGEST, self.clock())
-        idx = self._routing(batch.metric, batch.components, n)
         return [
-            (int(shard_i), SeriesBatch(
-                batch.metric,
-                batch.components[mask],
-                batch.times[mask],
-                batch.values[mask],
-            ))
-            for shard_i in np.unique(idx)
-            for mask in (idx == shard_i,)
+            (shard_i, SeriesBatch(batch.metric, comps, batch.times[sel],
+                                  batch.values[sel]))
+            for shard_i, sel, comps in self._routing(batch.metric,
+                                                     batch.components)
         ]
 
     def append(self, batch: SeriesBatch) -> int:

@@ -237,9 +237,11 @@ class SqlStore:
     # -- generic samples (comparison-bench surface) ---------------------------------------
 
     def append(self, batch: SeriesBatch) -> int:
+        # one SQL row per sample is what this baseline store measures
         rows = [
             (batch.metric, str(c), float(t), float(v))
-            for c, t, v in zip(batch.components, batch.times, batch.values)
+            for c, t, v in zip(batch.components, batch.times,  # per-sample: allowed
+                               batch.values)
         ]
         self._db.executemany("INSERT INTO samples VALUES (?,?,?,?)", rows)
         return len(rows)

@@ -5,16 +5,19 @@ superior data compression and query performance for high-volume time
 series data compared to Cray's PMDB".  This store provides the behaviours
 that comparison turns on:
 
-* append-optimized ingest of :class:`~repro.core.metric.SeriesBatch`es,
-  grouped by component and appended columnarly (no per-sample Python
-  conversion on the hot path),
-* per-series columnar chunks sealed at a fixed size and compressed with
+* columnar ingest of :class:`~repro.core.metric.SeriesBatch`es: each
+  metric's open heads are one 2-D block (series rows x sample slots)
+  behind an identity-memoized component -> row index, so a synchronized
+  sweep is one fancy-indexed column write and every batch shape —
+  sweeps, series chunks, repeated components — takes the same path,
+* per-series chunks sealed at a fixed size and compressed with
   delta-of-delta timestamps + XOR float packing (the Facebook Gorilla
-  scheme, the same family InfluxDB's TSM files use).  The codec is
-  vectorized: the Python-level loops are over byte-length *classes*
-  (a handful), not samples.  The original scalar implementation is kept
-  as ``_compress_chunk_slow``/``_decompress_chunk_slow`` — a reference
-  oracle the property tests hold the vectorized codec byte-identical to,
+  scheme, the same family InfluxDB's TSM files use).  All heads that
+  fill in one append seal in one batched call: a single 2-D encode
+  (its Python-level loops are over byte-length *classes*, a handful,
+  not samples), summaries from axis reductions and one pyramid fold
+  per level.  The test suite holds the chunks byte-identical to a
+  scalar codec and a per-sample store, its oracles,
 * range queries and server-side downsampling.  Sealing also records a
   :class:`ChunkSummary` (count/min/max/sum/first/last + span), so
   ``downsample`` answers from summaries for chunks wholly inside a
@@ -48,9 +51,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
+from ..core.rowindex import RowIndex
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
-from .rollup import SeriesPyramid, bucket_anchor, fold_partials, reduce_partials
+from .rollup import (SeriesPyramid, bucket_anchor, fold_partials, fold_rows,
+                     reduce_partials)
 
 __all__ = [
     "compress_chunk",
@@ -65,29 +70,13 @@ __all__ = [
 # --------------------------------------------------------------------------
 # chunk codec: delta-of-delta timestamps (varint) + XOR-packed float values
 #
-# Two implementations of the identical byte format: the vectorized one
-# (the production path) and the original scalar one (the `_slow`
-# reference oracle).  Property tests assert byte-for-byte equality.
+# The encoder works on a 2-D block of equal-length chunks at once (the
+# batched seal); ``compress_chunk`` is its one-row case.  A scalar codec
+# in the test suite is the oracle both are held byte-identical to.
 # --------------------------------------------------------------------------
-
-def _zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63)
-
 
 def _unzigzag(z: int) -> int:
     return (z >> 1) ^ -(z & 1)
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    v = _zigzag(value)
-    while True:
-        b = v & 0x7F
-        v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
 
 
 def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
@@ -102,144 +91,115 @@ def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _compress_chunk_slow(times: np.ndarray, values: np.ndarray) -> bytes:
-    """Scalar reference encoder (one Python iteration per sample)."""
-    n = len(times)
-    if n == 0:
-        return struct.pack("<I", 0)
-    ts_ms = np.round(np.asarray(times, dtype=np.float64) * 1000.0).astype(
-        np.int64
-    )
-    out = bytearray(struct.pack("<I", n))
-    # first timestamp raw, first delta, then delta-of-deltas
-    out += struct.pack("<q", int(ts_ms[0]))
-    prev_delta = 0
-    prev_ts = int(ts_ms[0])
-    for i in range(1, n):
-        t = int(ts_ms[i])
-        delta = t - prev_ts
-        _write_varint(out, delta - prev_delta)
-        prev_delta = delta
-        prev_ts = t
-
-    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
-    out += struct.pack("<Q", int(bits[0]))
-    prev = int(bits[0])
-    for i in range(1, n):
-        cur = int(bits[i])
-        x = cur ^ prev
-        prev = cur
-        if x == 0:
-            out.append(0x00)
-            continue
-        raw = x.to_bytes(8, "big")
-        lead = 0
-        while raw[lead] == 0:
-            lead += 1
-        sig = raw[lead:]
-        # header byte: high nibble = leading zero bytes, low = sig length
-        out.append((lead << 4) | len(sig))
-        out += sig
-    return bytes(out)
-
-
-def _decompress_chunk_slow(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar reference decoder (inverse of :func:`_compress_chunk_slow`)."""
-    (n,) = struct.unpack_from("<I", blob, 0)
-    pos = 4
-    if n == 0:
-        return np.empty(0), np.empty(0)
-    ts_ms = np.empty(n, dtype=np.int64)
-    (ts_ms[0],) = struct.unpack_from("<q", blob, pos)
-    pos += 8
-    prev_delta = 0
-    prev_ts = int(ts_ms[0])
-    for i in range(1, n):
-        dod, pos = _read_varint(blob, pos)
-        prev_delta += dod
-        prev_ts += prev_delta
-        ts_ms[i] = prev_ts
-
-    vals = np.empty(n, dtype=np.uint64)
-    (first,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    vals[0] = first
-    prev = int(first)
-    for i in range(1, n):
-        header = blob[pos]
-        pos += 1
-        if header == 0:
-            vals[i] = prev
-            continue
-        lead = header >> 4
-        sig_len = header & 0x0F
-        sig = blob[pos : pos + sig_len]
-        pos += sig_len
-        x = int.from_bytes(
-            b"\x00" * lead + sig + b"\x00" * (8 - lead - sig_len), "big"
-        )
-        prev ^= x
-        vals[i] = prev
-    return ts_ms.astype(np.float64) / 1000.0, vals.view(np.float64).copy()
-
-
 # varint byte-length thresholds: z needs k+1 bytes when z >= 2**(7k)
 _VARINT_THRESH = (np.uint64(1) << (np.uint64(7) * np.arange(1, 10,
                                                             dtype=np.uint64)))
 # significant-byte-length thresholds: x needs k+1 bytes when x >= 2**(8k)
 _BYTELEN_THRESH = (np.uint64(1) << (np.uint64(8) * np.arange(1, 8,
                                                              dtype=np.uint64)))
-
-
-def _encode_varints(dod: np.ndarray) -> bytes:
-    """Zig-zag varint encode an int64 array, stream-concatenated."""
-    z = (dod.astype(np.uint64) << np.uint64(1)) ^ (
-        dod >> np.int64(63)
-    ).astype(np.uint64)
-    nbytes = np.searchsorted(_VARINT_THRESH, z, side="right") + 1  # 1..10
-    width = int(nbytes.max())
-    if width == 1:             # every dod in [-64, 63] (regular cadence)
-        return z.astype(np.uint8).tobytes()
-    cols = np.arange(width)
-    shifts = np.uint64(7) * cols.astype(np.uint64)
-    groups = ((z[:, None] >> shifts[None, :]).astype(np.uint8)
-              & np.uint8(0x7F))
-    cont = cols[None, :] < (nbytes - 1)[:, None]
-    groups = np.where(cont, groups | np.uint8(0x80), groups)
-    sel = cols[None, :] < nbytes[:, None]
-    return groups[sel].tobytes()
-
-
 _COLS9 = np.arange(9, dtype=np.uint8)
 
 
-def _encode_xor(bits: np.ndarray) -> bytes:
-    """XOR-pack consecutive float bit patterns (all but the first).
+def _varint_block(d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Zig-zag varint bytes of an int64 ``(rows, k)`` block.
+
+    Returns ``(bytes, keep)``, each ``(rows, k * w)`` with ``w`` the
+    widest varint in the block; ``keep`` selects each row's stream
+    (None when every varint is one byte, the regular-cadence case).
+    """
+    z = (d.astype(np.uint64) << np.uint64(1)) ^ (
+        d >> np.int64(63)
+    ).astype(np.uint64)
+    nbytes = np.searchsorted(_VARINT_THRESH, z, side="right") + 1  # 1..10
+    width = int(nbytes.max())
+    if width == 1:
+        return z.astype(np.uint8), None
+    rows, k = z.shape
+    cols = np.arange(width)
+    shifts = np.uint64(7) * cols.astype(np.uint64)
+    groups = (z[..., None] >> shifts).astype(np.uint8) & np.uint8(0x7F)
+    groups[cols < (nbytes - 1)[..., None]] |= np.uint8(0x80)
+    keep = cols < nbytes[..., None]
+    return groups.reshape(rows, k * width), keep.reshape(rows, k * width)
+
+
+def _xor_block(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """XOR-pack consecutive float bit patterns of every row.
 
     One byteswap yields the big-endian byte matrix of every XOR value;
-    row i's significant bytes are its last ``blen[i]`` columns, already
+    token i's significant bytes are its last ``blen[i]`` columns, already
     in stream order.  Scattering each header byte immediately *before*
-    its significant bytes makes the whole token a row suffix, so a
-    single broadcast compare + boolean take emits the packed stream.
+    its significant bytes makes the whole token a suffix of its 9-byte
+    slot, so one broadcast compare selects the packed stream.  Returns
+    ``(tokens, keep, blen)``: ``(rows, 9 * (L-1))`` bytes and selection,
+    plus the ``(rows, L-1)`` significant-byte counts.
     """
-    x = bits[1:] ^ bits[:-1]
-    n = len(x)
+    x = bits[:, 1:] ^ bits[:, :-1]
+    rows, m = x.shape
     blen = (x != np.uint64(0)).astype(np.uint8)
     for thresh in _BYTELEN_THRESH:          # compare-sum beats searchsorted
         blen += x >= thresh
     lead = np.uint8(8) - blen
     # (lead & 7) << 4 | blen is 0x00 exactly when x == 0 — no where()
     header = ((lead & np.uint8(7)) << np.uint8(4)) | blen
-    tok = np.empty((n, 9), dtype=np.uint8)
-    tok[:, 1:] = x.byteswap().view(np.uint8).reshape(n, 8)
-    tok[np.arange(n), lead] = header
-    sel = _COLS9[None, :] >= lead[:, None]
-    return tok[sel].tobytes()
+    tok = np.empty((rows, m, 9), dtype=np.uint8)
+    tok[..., 1:] = x.byteswap().view(np.uint8).reshape(rows, m, 8)
+    np.put_along_axis(tok, lead[..., None].astype(np.intp),
+                      header[..., None], axis=2)
+    keep = _COLS9 >= lead[..., None]
+    return tok.reshape(rows, m * 9), keep.reshape(rows, m * 9), blen
+
+
+def _encode_rows(
+    ts_ms: np.ndarray, bits: np.ndarray
+) -> tuple[list[bytes], np.ndarray | None]:
+    """Encode each row of ``(rows, L)`` ms-times / float bits as a chunk.
+
+    Every section of every row is laid out side by side in one byte
+    matrix with a selection mask; one row-major boolean take emits all
+    chunks back to back, which are then cut at the per-row lengths.
+    Returns the blobs and the XOR significant-byte counts (None for
+    ``L < 2``), from which the block index hints derive.
+    """
+    rows, n = ts_ms.shape
+    parts: list[tuple[np.ndarray, np.ndarray | None]] = [
+        (np.full((rows, 1), n, dtype="<u4").view(np.uint8), None),
+        (np.ascontiguousarray(ts_ms[:, :1], dtype="<i8").view(np.uint8),
+         None),
+    ]
+    if n > 1:
+        deltas = np.diff(ts_ms, axis=1)
+        # the first delta-of-delta IS the first delta — typically one
+        # whole collection interval, far larger than the rest — so it is
+        # its own section, keeping the rest's byte width uniform
+        parts.append(_varint_block(deltas[:, :1]))
+        if n > 2:
+            parts.append(_varint_block(np.diff(deltas, axis=1)))
+    parts.append((np.ascontiguousarray(bits[:, :1], dtype="<u8")
+                  .view(np.uint8), None))
+    blen = None
+    if n > 1:
+        tok, keep, blen = _xor_block(bits)
+        parts.append((tok, keep))
+    width = sum(p.shape[1] for p, _ in parts)
+    mat = np.empty((rows, width), dtype=np.uint8)
+    sel = np.ones((rows, width), dtype=bool)
+    at = 0
+    for p, keep in parts:
+        w = p.shape[1]
+        mat[:, at:at + w] = p
+        if keep is not None:
+            sel[:, at:at + w] = keep
+        at += w
+    flat = mat[sel].tobytes()
+    ends = np.cumsum(sel.sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
+    return [flat[a:b] for a, b in zip(starts, ends)], blen
 
 
 def compress_chunk(times: np.ndarray, values: np.ndarray) -> bytes:
-    """Compress one sealed chunk (vectorized; byte-identical to
-    :func:`_compress_chunk_slow`).
+    """Compress one sealed chunk (the one-row case of the batched
+    encoder).
 
     Timestamps are stored at millisecond resolution as zig-zag varint
     delta-of-deltas — regular collection intervals (the common case:
@@ -248,28 +208,12 @@ def compress_chunk(times: np.ndarray, values: np.ndarray) -> bytes:
     byte-aligned (leading-zero-bytes, significant-bytes) header; runs of
     identical values (idle gauges) cost two bytes each.
     """
-    n = len(times)
-    if n == 0:
+    t = np.asarray(times, dtype=np.float64)
+    if len(t) == 0:
         return struct.pack("<I", 0)
-    ts_ms = np.round(np.asarray(times, dtype=np.float64) * 1000.0).astype(
-        np.int64
-    )
+    ts_ms = np.round(t * 1000.0).astype(np.int64)
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    parts = [struct.pack("<I", n), struct.pack("<q", int(ts_ms[0]))]
-    if n > 1:
-        deltas = np.diff(ts_ms)
-        # the first delta-of-delta IS the first delta — typically one
-        # whole collection interval, far larger than the rest — so emit
-        # it scalarly to keep the vector path's byte-width uniform
-        first = bytearray()
-        _write_varint(first, int(deltas[0]))
-        parts.append(bytes(first))
-        if n > 2:
-            parts.append(_encode_varints(np.diff(deltas)))
-    parts.append(struct.pack("<Q", int(bits[0])))
-    if n > 1:
-        parts.append(_encode_xor(bits))
-    return b"".join(parts)
+    return _encode_rows(ts_ms[None, :], bits[None, :])[0][0]
 
 
 def _token_starts(sec: np.ndarray, n_tok: int) -> np.ndarray:
@@ -512,6 +456,51 @@ class StoreStats:
         return self.raw_bytes / self.compressed_bytes
 
 
+class _HeadBlock:
+    """The open heads of one metric's series, stored columnar.
+
+    ``index`` maps component -> row (the shared
+    :class:`~repro.core.rowindex.RowIndex`, identity-memoized per
+    components array); row ``r`` holds series ``series[r]``'s unsealed
+    samples in ``head_t[r, :fill[r]]`` / ``head_v[r, :fill[r]]`` in
+    arrival order.  Both axes grow by doubling: rows as series appear,
+    width only as far as the fullest head needs (at most the chunk
+    size), so stores whose heads never fill never pay for full-width
+    rows.  Dropped series leave a dead row (``series[r] is None``).
+    """
+
+    __slots__ = ("index", "series", "head_t", "head_v", "fill")
+
+    def __init__(self) -> None:
+        self.index = RowIndex()
+        self.series: list[_Series | None] = []
+        self.head_t = np.empty((0, 0))
+        self.head_v = np.empty((0, 0))
+        self.fill = np.zeros(0, dtype=np.int64)
+
+    def reserve(self, width: int, limit: int) -> None:
+        """Room for every indexed row and ``width`` samples per row
+        (at most ``limit``, the chunk size)."""
+        rows = len(self.index)
+        cap_r, cap_w = self.head_t.shape
+        if rows <= cap_r and width <= cap_w:
+            return
+        new_r = max(cap_r, 16)
+        while new_r < rows:
+            new_r *= 2
+        new_w = max(cap_w, min(8, limit))
+        while new_w < min(width, limit):
+            new_w = min(2 * new_w, limit)
+        for name in ("head_t", "head_v"):
+            old = getattr(self, name)
+            grown = np.empty((new_r, new_w))
+            grown[:cap_r, :cap_w] = old
+            setattr(self, name, grown)
+        fill = np.zeros(new_r, dtype=np.int64)
+        fill[:cap_r] = self.fill
+        self.fill = fill
+
+
 class _Series:
     """One (metric, component) series: sealed chunks + open head.
 
@@ -521,97 +510,45 @@ class _Series:
     ``chunk_refs`` (disk-tier location, or None without a tier).  A
     spilled chunk has ``chunks[i] is None`` and is read back through
     :meth:`chunk_blob` — the single accessor every query path uses.
+    The open head lives in row ``row`` of the metric's
+    :class:`_HeadBlock`; :meth:`head` is its one reader.
     """
 
     __slots__ = ("chunks", "chunk_spans", "chunk_ids", "summaries",
-                 "chunk_hints", "chunk_refs", "head_t", "head_v",
-                 "n_sealed_samples", "sealed_bytes", "pyramid", "tier",
-                 "key")
+                 "chunk_hints", "chunk_refs", "n_sealed_samples",
+                 "sealed_bytes", "pyramid", "tier", "key", "block", "row")
 
     def __init__(
-        self, pyramid_levels: Sequence[float] | None = None,
-        tier=None, key: MetricKey | None = None,
+        self, pyramid_levels: Sequence[float] | None,
+        tier, key: MetricKey, block: _HeadBlock, row: int,
     ) -> None:
         self.tier = tier            # DiskTier (duck-typed) or None
         self.key = key              # needed for segment records
+        self.block = block
+        self.row = row
         self.chunk_refs: list = []
         self.chunks: list[bytes | None] = []
         self.chunk_spans: list[tuple[float, float]] = []  # (t_min, t_max)
         self.chunk_ids: list[int] = []
         self.summaries: list[ChunkSummary] = []
         self.chunk_hints: list[np.ndarray | None] = []
-        self.head_t: list[float] = []
-        self.head_v: list[float] = []
         self.n_sealed_samples = 0
         self.sealed_bytes = 0       # running sum(len(c) for c in chunks)
         # rollup pyramid maintained incrementally at seal time (serving
-        # plane); None keeps seal() cost identical to the pre-serve store
+        # plane); None keeps seal cost identical to the pre-serve store
         self.pyramid = (
             SeriesPyramid(pyramid_levels) if pyramid_levels else None
         )
 
-    def append_array(
-        self, t: np.ndarray, v: np.ndarray, chunk_size: int
-    ) -> tuple[int, int, int]:
-        """Columnar append; seals every time the head fills.
+    @property
+    def head_len(self) -> int:
+        return int(self.block.fill[self.row])
 
-        Returns ``(chunks_sealed, samples_sealed, bytes_sealed)`` so the
-        owning store maintains O(1) aggregate counters.
-        """
-        chunks = samples = nbytes = 0
-        i, n = 0, len(t)
-        while i < n:
-            space = chunk_size - len(self.head_t)
-            take = min(space, n - i)
-            self.head_t.extend(t[i : i + take].tolist())
-            self.head_v.extend(v[i : i + take].tolist())
-            i += take
-            if len(self.head_t) >= chunk_size:
-                sealed = self.seal()
-                if sealed is not None:
-                    chunks += 1
-                    samples += sealed[0]
-                    nbytes += sealed[1]
-        return chunks, samples, nbytes
-
-    def seal(self) -> tuple[int, int] | None:
-        """Seal the open head; returns (samples, bytes) sealed, or None.
-
-        The return value lets the owning store maintain O(1) aggregate
-        counters without re-walking every series.
-        """
-        if not self.head_t:
-            return None
-        t = np.asarray(self.head_t)
-        v = np.asarray(self.head_v)
-        order = np.argsort(t, kind="stable")
-        t, v = t[order], v[order]
-        blob = compress_chunk(t, v)
-        # span + summary use the codec's ms rounding, so they describe
-        # exactly what the chunk decompresses back to
-        t_r = np.round(t * 1000.0).astype(np.int64).astype(np.float64) / 1000.0
-        cid = next(_chunk_ids)
-        self.chunks.append(blob)
-        self.chunk_spans.append((float(t_r[0]), float(t_r[-1])))
-        self.chunk_ids.append(cid)
-        self.summaries.append(_summarize(t_r, v))
-        self.chunk_hints.append(_xor_token_lens(v))
-        if self.tier is not None:
-            # persist the immutable blob now; spill to budget afterwards
-            self.chunk_refs.append(self.tier.on_seal(self, blob, cid))
-        else:
-            self.chunk_refs.append(None)
-        if self.pyramid is not None:
-            # fold the exact arrays the chunk decompresses back to, with
-            # seq numbers continuing the chunk-list stable sort order
-            self.pyramid.add_sealed(t_r, v, self.n_sealed_samples)
-        self.n_sealed_samples += len(t)
-        self.sealed_bytes += len(blob)
-        self.head_t = []
-        self.head_v = []
-        if self.tier is not None:
-            self.tier.enforce_budget()
-        return len(t), len(blob)
+    def head(self) -> tuple[np.ndarray, np.ndarray]:
+        """Open-head samples in arrival order (views: read, don't keep)."""
+        n = self.head_len
+        return (self.block.head_t[self.row, :n],
+                self.block.head_v[self.row, :n])
 
     def chunk_blob(self, i: int):
         """Sealed blob ``i``, resident or mapped from the disk tier.
@@ -642,9 +579,8 @@ class _Series:
             mask = (ct >= t0) & (ct < t1)
             ts.append(ct[mask])
             vs.append(cv[mask])
-        if self.head_t:
-            ht = np.asarray(self.head_t)
-            hv = np.asarray(self.head_v)
+        ht, hv = self.head()
+        if len(ht):
             mask = (ht >= t0) & (ht < t1)
             ts.append(ht[mask])
             vs.append(hv[mask])
@@ -670,10 +606,10 @@ class _Series:
 
     @property
     def n_samples(self) -> int:
-        return self.n_sealed_samples + len(self.head_t)
+        return self.n_sealed_samples + self.head_len
 
     def compressed_bytes(self) -> int:
-        return self.sealed_bytes + 16 * len(self.head_t)
+        return self.sealed_bytes + 16 * self.head_len
 
 
 # --------------------------------------------------------------------------
@@ -846,9 +782,8 @@ class SeriesQueryMixin:
                         seq=seq_base + np.flatnonzero(mask),
                     ))
             seq_base += summ.count
-        if series.head_t:
-            ht = np.asarray(series.head_t)
-            hv = np.asarray(series.head_v)
+        ht, hv = series.head()
+        if len(ht):
             mask = (ht >= t0) & (ht < t1)
             if mask.any():
                 seq = seq_base + np.flatnonzero(mask)
@@ -930,6 +865,8 @@ class TimeSeriesStore(SeriesQueryMixin):
             if pyramid_levels else None
         )
         self._series: dict[MetricKey, _Series] = {}
+        # per-metric open heads, columnar (see _HeadBlock)
+        self._blocks: dict[str, _HeadBlock] = {}
         # per-metric mutation epochs: bumped on any change that can alter
         # query results, so the serving plane's result cache invalidates
         # precisely (stale entries die, untouched metrics keep serving)
@@ -941,48 +878,66 @@ class TimeSeriesStore(SeriesQueryMixin):
         self._sealed_chunks = 0
         self._sealed_bytes = 0
 
-    def _note_seal(self, sealed: tuple[int, int] | None) -> None:
-        if sealed is not None:
-            self._sealed_samples += sealed[0]
-            self._sealed_chunks += 1
-            self._sealed_bytes += sealed[1]
+    def _block(self, metric: str) -> _HeadBlock:
+        blk = self._blocks.get(metric)
+        if blk is None:
+            blk = self._blocks[metric] = _HeadBlock()
+        return blk
+
+    def _register(self, blk: _HeadBlock, metric: str, rows) -> None:
+        """Create the series of newly indexed rows, in ``rows`` order."""
+        names = blk.index.names
+        blk.series.extend([None] * (len(names) - len(blk.series)))
+        for r in rows:
+            key = MetricKey(metric, names[r])
+            blk.series[r] = self._series[key] = _Series(
+                self.pyramid_levels, self.disk, key, blk, r)
+        blk.reserve(0, self.chunk_size)
 
     def _new_series(self, key: MetricKey) -> _Series:
-        s = self._series[key] = _Series(self.pyramid_levels,
-                                        tier=self.disk, key=key)
-        return s
+        blk = self._block(key.metric)
+        self._register(blk, key.metric, (blk.index.add(key.component),))
+        return self._series[key]
 
-    def _head_is_empty(self, metric: str, comp) -> bool:
-        """True when the series has no open head — a chunk-aligned
-        single-series batch then seals whole and needs no WAL record."""
-        s = self._series.get(MetricKey(metric, str(comp)))
-        return s is None or not s.head_t
+    def _bypasses_wal(self, blk: _HeadBlock, batch: SeriesBatch) -> bool:
+        """True for a chunk-aligned batch of one series with an empty
+        head: every point seals into a segment record in the same call."""
+        n = len(batch)
+        if n % self.chunk_size:
+            return False
+        comps = batch.components
+        c0 = comps[0]
+        if comps[-1] != c0 or not bool((comps == c0).all()):
+            return False
+        row = blk.index.row(str(c0))
+        return row is None or blk.fill[row] == 0
 
     # -- ingest ---------------------------------------------------------------
 
     def append(self, batch: SeriesBatch) -> int:
         """Ingest a batch; returns the number of samples stored.
 
-        Rows are grouped by component and appended columnarly — one
-        ``append_array`` per series per batch, not one Python-level
-        ``float()`` conversion per sample.
+        One path for every batch shape.  Components map to head-block
+        rows through the identity-memoized index, and each sample lands
+        in slot ``fill[row] + rank`` (``rank``: its position among the
+        batch's samples for that row) — a sweep is one fancy-indexed
+        column write.  Rows that reach ``chunk_size`` seal together in
+        one batched call; samples past a seal start the next head.
         """
         n = len(batch)
         if n == 0:
             return 0
-        self._epochs[batch.metric] = self._epochs.get(batch.metric, 0) + 1
-        comps = batch.components.tolist()
-        n_uniq = len(set(comps))
-        if self.disk is not None and not (
-            n_uniq == 1 and n % self.chunk_size == 0
-            and self._head_is_empty(batch.metric, comps[0])
-        ):
+        metric = batch.metric
+        self._epochs[metric] = self._epochs.get(metric, 0) + 1
+        blk = self._blocks.get(metric) or self._block(metric)
+        logged = self.disk is not None and not self._bypasses_wal(blk, batch)
+        if logged:
             # WAL before any head mutation: unsealed points survive a
             # crash up to the last fsync batch.  Chunk-aligned
-            # single-series batches skip the WAL: every point seals into
-            # a segment record in this same call, and segments ride the
-            # same fsync batch, so logging them first would just double
-            # the write volume (the bulk-load shape).
+            # single-series batches skip the WAL: segments ride the same
+            # fsync batch, so logging them first would just double the
+            # write volume (the bulk-load shape); their segment records
+            # say so, for recovery.
             self.disk.wal_append(batch)
         tr = batch.trace
         if self.clock is not None and tr is not None:
@@ -1000,59 +955,214 @@ class TimeSeriesStore(SeriesQueryMixin):
                 hops.append([HOP_INGEST, t, t, 1])
             else:
                 tr.truncated += 1
+        idx = blk.index
+        before = len(idx.names)
+        rows, unique = idx.rows(batch.components)
+        if len(idx.names) > before:
+            new = range(before, len(idx.names))
+            if not unique:
+                # series are created in component order for grouped
+                # batches, the order their chunks seal in
+                new = sorted(new, key=idx.names.__getitem__)
+            self._register(blk, metric, new)
         cs = self.chunk_size
-        if n_uniq == n:
-            # sweep shape (every row its own series): grouping would
-            # produce n single-sample slices, so append scalars instead
-            get = self._series.get
-            t_list = np.asarray(batch.times, dtype=np.float64).tolist()
-            v_list = np.asarray(batch.values, dtype=np.float64).tolist()
-            for c, t, v in zip(comps, t_list, v_list):
-                key = MetricKey(batch.metric, str(c))
-                series = get(key)
-                if series is None:
-                    series = self._new_series(key)
-                series.head_t.append(t)
-                series.head_v.append(v)
-                if len(series.head_t) >= cs:
-                    self._note_seal(series.seal())
-            self._samples += n
-            return n
-        times = np.asarray(batch.times, dtype=np.float64)
-        values = np.asarray(batch.values, dtype=np.float64)
-        uniq, inv = np.unique(batch.components.astype(str),
-                              return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(inv, minlength=len(uniq))))
-        )
-        st, sv = times[order], values[order]
-        chunks = samples = nbytes = 0
-        for g in range(len(uniq)):
-            key = MetricKey(batch.metric, str(uniq[g]))
-            series = self._series.get(key)
-            if series is None:
-                series = self._new_series(key)
-            c, smp, byt = series.append_array(
-                st[bounds[g] : bounds[g + 1]],
-                sv[bounds[g] : bounds[g + 1]], cs,
-            )
-            chunks += c
-            samples += smp
-            nbytes += byt
-        self._sealed_chunks += chunks
+        # each sample's slot: fill[row] + its rank among the batch's
+        # samples for that row (all ranks are 0 when no row repeats)
+        if unique:
+            r, t, v = rows, batch.times, batch.values
+            slot = blk.fill[r]
+        else:
+            order = np.argsort(rows, kind="stable")
+            r = rows[order]
+            t, v = batch.times[order], batch.values[order]
+            starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+            counts = np.diff(np.r_[starts, n])
+            first = blk.fill[r[starts]]
+            slot = np.repeat(first - starts, counts) + np.arange(n)
+        top = int(slot.max())
+        if top < cs - 1:                   # no head fills
+            if top >= blk.head_t.shape[1]:
+                blk.reserve(top + 1, cs)
+            blk.head_t[r, slot] = t
+            blk.head_v[r, slot] = v
+            if unique:
+                blk.fill[r] = slot + 1
+            else:
+                blk.fill[r[starts]] = first + counts
+        else:
+            self._append_sealing(blk, r, t, v, slot, unique, logged)
+        self._samples += n
+        if self.disk is not None:
+            self.disk.enforce_budget()
+        return n
+
+    def _append_sealing(self, blk: _HeadBlock, r: np.ndarray,
+                        t: np.ndarray, v: np.ndarray, slot: np.ndarray,
+                        batch_order: bool, logged: bool) -> None:
+        """Write samples whose virtual head position is ``slot`` (may run
+        past ``chunk_size``), sealing every chunk that fills.
+
+        Position ``p`` of a row lands in chunk ``p // cs`` at slot
+        ``p % cs``: chunk 0 is the current head (its existing prefix
+        included), later chunks are made of batch samples alone, and
+        the last, partial one becomes the new head.  Chunks seal in the
+        order a per-series loop would: batch order for sweeps
+        (``batch_order``), else by component name, then chunk number.
+        """
+        cs = self.chunk_size
+        chunk, pos = np.divmod(slot, cs)
+        if batch_order:
+            starts = np.arange(len(r))
+        else:
+            starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        g = r[starts]                              # one entry per row
+        ends = np.r_[starts[1:], len(r)]
+        end_pos = slot[ends - 1] + 1               # virtual fill after
+        n_seal = end_pos // cs
+        sealing = np.flatnonzero(n_seal)
+        if len(sealing):
+            if not batch_order:
+                names = blk.index.names
+                sealing = np.asarray(sorted(
+                    sealing.tolist(), key=lambda i: names[g[i]]))
+            per = n_seal[sealing]
+            base = np.zeros(len(g), dtype=np.int64)
+            base[sealing] = np.cumsum(per) - per
+            q = int(per.sum())
+            ct = np.empty((q, cs))
+            cv = np.empty((q, cs))
+            # chunk 0 of a sealing row starts with its current head; the
+            # copy may overrun a shorter head, but batch samples fill
+            # every slot past it below
+            w = int(blk.fill[g[sealing]].max())
+            if w:
+                ct[base[sealing], :w] = blk.head_t[g[sealing], :w]
+                cv[base[sealing], :w] = blk.head_v[g[sealing], :w]
+            which = np.repeat(np.arange(len(g)), ends - starts)
+            into = chunk < n_seal[which]
+            dest = base[which[into]] + chunk[into]
+            ct[dest, pos[into]] = t[into]
+            cv[dest, pos[into]] = v[into]
+            series = blk.series
+            chunks = [series[g[i]] for i in sealing.tolist()
+                      for _ in range(n_seal[i])]
+            self._commit(chunks, self._encode_seals(chunks, ct, cv), logged)
+            rest = ~into
+            r, t, v, pos = r[rest], t[rest], v[rest], pos[rest]
+        fill = end_pos - n_seal * cs
+        blk.reserve(int(fill.max()), cs)
+        blk.head_t[r, pos] = t
+        blk.head_v[r, pos] = v
+        blk.fill[g] = fill
+
+    def _encode_seals(self, series: list[_Series], t: np.ndarray,
+                      v: np.ndarray) -> list[tuple]:
+        """Everything a seal records, for every row at once.
+
+        One stable time sort of the rows that need it, one 2-D encode
+        (byte-identical to :func:`compress_chunk` per row), ms rounding,
+        summaries from axis reductions, block-index hints, and each
+        pyramid level folded for every row in one pass
+        (:func:`fold_rows`).  Returns one ``(blob, span, summary, hint,
+        per-level folds or None, row)`` per row.
+        """
+        k, n = t.shape
+        if n > 1:
+            unsorted = np.flatnonzero(~(t[:, 1:] >= t[:, :-1]).all(axis=1))
+            if len(unsorted):
+                o = np.argsort(t[unsorted], axis=1, kind="stable")
+                t[unsorted] = np.take_along_axis(t[unsorted], o, axis=1)
+                v[unsorted] = np.take_along_axis(v[unsorted], o, axis=1)
+        ts_ms = np.round(t * 1000.0).astype(np.int64)
+        blobs, blen = _encode_rows(ts_ms, v.view(np.uint64))
+        # spans + summaries use the codec's ms rounding, so they describe
+        # exactly what the chunk decompresses back to
+        t_r = ts_ms.astype(np.float64) / 1000.0
+        t_lo, t_hi = t_r[:, 0].tolist(), t_r[:, -1].tolist()
+        summaries = [
+            ChunkSummary(n, a, b, c, d, e, f, g) for a, b, c, d, e, f, g in
+            zip(t_lo, t_hi, v.min(axis=1).tolist(), v.max(axis=1).tolist(),
+                v.sum(axis=1).tolist(), v[:, 0].tolist(), v[:, -1].tolist())
+        ]
+        hints: list = [None] * k
+        if blen is not None:
+            lens = blen + np.uint8(1)
+            for i in np.flatnonzero(~(lens == lens[:, :1]).all(axis=1)):
+                hints[i] = lens[i]
+        folds = None
+        if self.pyramid_levels:
+            # seq numbers continue each series' chunk-list order; a
+            # series sealing several chunks here numbers them in turn
+            seq = []
+            done: dict[int, int] = {}
+            for s in series:
+                b = done.get(id(s), s.n_sealed_samples)
+                seq.append(b)
+                done[id(s)] = b + n
+            seq_base = np.asarray(seq, dtype=np.int64)
+            folds = [fold_rows(t_r, v, lv, seq_base)
+                     for lv in series[0].pyramid.levels]
+        return [(blob, span, summ, hint, folds, i) for i, (
+            blob, span, summ, hint) in enumerate(zip(
+                blobs, zip(t_lo, t_hi), summaries, hints))]
+
+    def _commit(self, series: list[_Series], sealed: list[tuple],
+                logged: bool = True) -> None:
+        """Append encoded chunks to their series, in order (chunk ids,
+        segment records); ``logged``: whether their samples are in the
+        WAL."""
+        tier = self.disk
+        nbytes = samples = 0
+        for s, (blob, span, summ, hint, folds, i) in zip(series, sealed):
+            cid = next(_chunk_ids)
+            s.chunks.append(blob)
+            s.chunk_spans.append(span)
+            s.chunk_ids.append(cid)
+            s.summaries.append(summ)
+            s.chunk_hints.append(hint)
+            # persist the immutable blob now; spill to budget afterwards
+            s.chunk_refs.append(tier.on_seal(s, blob, cid, logged)
+                                if tier is not None else None)
+            if folds is not None:
+                s.pyramid.add_folded(folds, i, summ.count)
+            s.n_sealed_samples += summ.count
+            s.sealed_bytes += len(blob)
+            samples += summ.count
+            nbytes += len(blob)
+        self._sealed_chunks += len(sealed)
         self._sealed_samples += samples
         self._sealed_bytes += nbytes
-        self._samples += n
-        return n
+
+    def _seal_heads(self, series: Iterable[_Series]) -> bool:
+        """Seal the open heads of ``series``, committed in order (flush,
+        export).  Heads of equal length encode as one batch; returns
+        whether any head was sealed."""
+        series = [s for s in series if s.head_len]
+        if not series:
+            return False
+        by_len: dict[int, list[int]] = {}
+        for i, s in enumerate(series):
+            by_len.setdefault(s.head_len, []).append(i)
+        sealed: list = [None] * len(series)
+        for at in by_len.values():
+            group = [series[i] for i in at]
+            heads = [s.head() for s in group]
+            for i, row in zip(at, self._encode_seals(
+                    group, np.array([h[0] for h in heads]),
+                    np.array([h[1] for h in heads]))):
+                sealed[i] = row
+        self._commit(series, sealed)
+        for s in series:
+            s.block.fill[s.row] = 0
+        return True
 
     def append_many(self, batches: Iterable[SeriesBatch]) -> int:
         return sum(self.append(b) for b in batches)
 
     def flush(self) -> None:
         """Seal every open head chunk (checkpoint before archiving)."""
-        for s in self._series.values():
-            self._note_seal(s.seal())
+        if self._seal_heads(self._series.values()) and self.disk is not None:
+            self.disk.enforce_budget()
         if self.disk is not None:
             self.disk.sync()
 
@@ -1112,7 +1222,24 @@ class TimeSeriesStore(SeriesQueryMixin):
         self._sealed_samples -= s.n_sealed_samples
         self._sealed_chunks -= len(s.chunks)
         self._sealed_bytes -= s.sealed_bytes
+        # the row stays allocated, dead; a new series of the same
+        # component gets a fresh one
+        blk = s.block
+        blk.index.forget(component)
+        blk.series[s.row] = None
+        blk.fill[s.row] = 0
         return True
+
+    def _restore_head(self, s: _Series, t: Sequence[float],
+                      v: Sequence[float]) -> None:
+        """Reinstate a recovered open head (disk-tier recovery)."""
+        n = len(t)
+        blk = s.block
+        blk.reserve(n, self.chunk_size)
+        blk.head_t[s.row, :n] = t
+        blk.head_v[s.row, :n] = v
+        blk.fill[s.row] = n
+        self._samples += n
 
     def stats(self) -> StoreStats:
         # O(1) from counters maintained at every mutation point: the
@@ -1140,7 +1267,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         out of the mmap) so the archive owns its data outright.
         """
         s = self._series[key]
-        self._note_seal(s.seal())
+        if self._seal_heads([s]) and self.disk is not None:
+            self.disk.enforce_budget()
         return ([bytes(s.chunk_blob(i)) for i in range(len(s.chunks))],
                 list(s.chunk_spans))
 
@@ -1220,7 +1348,7 @@ class TimeSeriesStore(SeriesQueryMixin):
             )
             hint = _xor_token_lens(cv) if len(cv) else None
             cid = next(_chunk_ids)
-            ref = (self.disk.on_seal(s, blob, cid)
+            ref = (self.disk.on_seal(s, blob, cid, logged=False)
                    if self.disk is not None else None)
             incoming.append((blob, span, cid, summ, hint, ref))
             n_in += summ.count

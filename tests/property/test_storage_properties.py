@@ -9,12 +9,11 @@ from repro.core.metric import SeriesBatch
 from repro.storage.logstore import LogStore, tokenize
 from repro.storage.tsdb import (
     TimeSeriesStore,
-    _compress_chunk_slow,
-    _decompress_chunk_slow,
     _xor_token_lens,
     compress_chunk,
     decompress_chunk,
 )
+from tests.oracles.codec import compress_chunk_slow, decompress_chunk_slow
 
 # -- chunk codec -------------------------------------------------------------
 
@@ -83,7 +82,7 @@ unsorted_times_ms = st.lists(
 
 
 class TestVectorizedCodecEquivalence:
-    """The numpy codec against the `_slow` scalar reference oracle."""
+    """The numpy codec against the scalar reference oracle."""
 
     @given(times_ms=unsorted_times_ms, data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -93,8 +92,8 @@ class TestVectorizedCodecEquivalence:
         times = np.asarray(times_ms[:n], dtype=np.float64) / 1000.0
         values = values[:n]
         blob = compress_chunk(times, values)
-        assert blob == _compress_chunk_slow(times, values)
-        st_, sv = _decompress_chunk_slow(blob)
+        assert blob == compress_chunk_slow(times, values)
+        st_, sv = decompress_chunk_slow(blob)
         for hint in (None, _xor_token_lens(values)):
             vt, vv = decompress_chunk(blob, lens_hint=hint)
             assert np.array_equal(vt, st_)

@@ -190,6 +190,23 @@ class TestSnapshotRecover:
         assert rep2.wal_points_replayed == 0
         assert r2.points_by_metric() == r1.points_by_metric()
 
+    def test_wal_bypassing_chunks_do_not_eat_wal_samples(self, tmp_path):
+        """A chunk-aligned bulk load seals without a WAL record; recovery
+        must not count its samples against the series' WAL replay."""
+        store = disk_store(tmp_path)
+        store.snapshot()
+        bulk = SeriesBatch.for_component("m", "a", np.arange(16.0),
+                                         np.arange(16.0))
+        store.append(bulk)                     # bypasses the WAL
+        store.append(sweep("m", 100.0, ["a"], [7.0]))   # WAL-logged head
+        store.disk.sync()
+        store.disk.simulate_crash()
+        recovered, report = recover_store(tmp_path / "tier")
+        got = recovered.query("m", "a")
+        assert got.times.tolist() == list(range(16)) + [100.0]
+        assert report.wal_points_replayed == 1
+        assert report.wal_points_skipped == 0
+
     def test_torn_tails_truncated_and_reported(self, tmp_path):
         store = disk_store(tmp_path, sync_every_bytes=1 << 30)
         fill(store, n=150, metrics=("m",), comps=("a",))

@@ -7,12 +7,11 @@ from repro.core.metric import MetricKey, SeriesBatch
 from repro.storage.chunkcache import ChunkCache
 from repro.storage.tsdb import (
     TimeSeriesStore,
-    _compress_chunk_slow,
-    _decompress_chunk_slow,
     _xor_token_lens,
     compress_chunk,
     decompress_chunk,
 )
+from tests.oracles.codec import compress_chunk_slow, decompress_chunk_slow
 
 
 class TestChunkCodec:
@@ -90,12 +89,12 @@ class TestVectorizedMatchesSlow:
     def test_compress_byte_identical(self):
         for times, values in self.cases():
             assert (compress_chunk(times, values)
-                    == _compress_chunk_slow(times, values))
+                    == compress_chunk_slow(times, values))
 
     def test_decompress_matches_slow_with_and_without_hint(self):
         for times, values in self.cases():
             blob = compress_chunk(times, values)
-            st, sv = _decompress_chunk_slow(blob)
+            st, sv = decompress_chunk_slow(blob)
             for hint in (None, _xor_token_lens(values)):
                 vt, vv = decompress_chunk(blob, lens_hint=hint)
                 assert np.array_equal(vt, st)

@@ -115,7 +115,8 @@ class TestImportCycles:
 
 
 class TestColumnarGate:
-    """The per-sample-loop lint keeping src/repro/analysis columnar."""
+    """The per-sample-loop lint keeping analysis, serve and storage
+    columnar."""
 
     def test_analysis_plane_is_columnar(self):
         assert check_mod.check_columnar_analysis() == []
@@ -165,11 +166,40 @@ class TestColumnarGate:
             "def f(xs, ys, batch):\n"
             "    for a, b in zip(xs, ys):\n"
             "        print(a, b)\n"
-            "    for c in batch.components.tolist():\n"
+            "    for c in xs.tolist():\n"
             "        print(c)\n"
             "    return batch.values * 2\n"
         )
         assert check_mod.check_columnar(f) == []
+
+    def test_flags_iteration_over_column_tolist(self, tmp_path):
+        f = tmp_path / "hot.py"
+        f.write_text(
+            "import numpy as np\n"
+            "def f(batch):\n"
+            "    for c in batch.components.tolist():\n"
+            "        print(c)\n"
+            "    comps = batch.components.tolist()\n"
+            "    t_list = np.asarray(batch.times).tolist()\n"
+            "    for c, t in zip(comps, t_list):\n"
+            "        print(c, t)\n"
+        )
+        problems = check_mod.check_columnar(f)
+        assert [p.split(":")[1] for p in problems] == ["3", "7"]
+
+    def test_column_list_names_are_function_scoped(self, tmp_path):
+        f = tmp_path / "ok.py"
+        f.write_text(
+            "def f(batch):\n"
+            "    comps = batch.components.tolist()\n"
+            "    return len(comps)\n"
+            "def g(comps):\n"
+            "    return [c for c in comps]\n"
+        )
+        assert check_mod.check_columnar(f) == []
+
+    def test_storage_plane_is_checked(self):
+        assert "storage" in check_mod._COLUMNAR_DIRS
 
     def test_syntax_errors_left_to_the_syntax_check(self, tmp_path):
         f = tmp_path / "bad.py"
