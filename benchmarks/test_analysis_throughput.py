@@ -1,8 +1,9 @@
 """Throughput of the columnar analysis plane vs its scalar references.
 
 The streaming detectors consume whole sweeps through numpy kernels over
-struct-of-arrays state (PR 4); the original per-sample implementations
-are retained as ``Scalar*`` classes / ``_slow`` functions.  This module
+struct-of-arrays state; the original per-sample implementations live
+in ``tests/oracles/analysis.py`` (``Scalar*`` classes, ``*_slow``
+functions).  This module
 measures both at the machine scale the paper's Table 1 implies —
 27,648-component sweeps (Titan: 18,688 nodes + GPUs in the monitored
 set) — with pytest-benchmark fixtures for trend tracking plus a hard
@@ -14,14 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.anomaly import _sweep_outliers_slow, sweep_outliers
-from repro.analysis.streaming import (
+from repro.analysis.anomaly import sweep_outliers
+from repro.analysis.streaming import StreamingRateWatch, StreamingStats
+from repro.core.metric import SeriesBatch
+from tests.oracles.analysis import (
     ScalarStreamingRateWatch,
     ScalarStreamingStats,
-    StreamingRateWatch,
-    StreamingStats,
+    sweep_outliers_slow,
 )
-from repro.core.metric import SeriesBatch
 
 N = 27_648                      # Titan-scale component sweep
 COMPS = np.array([f"c{i:05d}" for i in range(N)], dtype=object)
@@ -97,7 +98,7 @@ class TestAnalysisThroughput:
              best_of(lambda: warm_stats(StreamingStats)
                      .observe(POWER_SWEEP))),
             ("sweep_outliers",
-             best_of(lambda: _sweep_outliers_slow(POWER_SWEEP, 6.0)),
+             best_of(lambda: sweep_outliers_slow(POWER_SWEEP, 6.0)),
              best_of(lambda: sweep_outliers(POWER_SWEEP, 6.0))),
             ("ratewatch",
              best_of(ratewatch_runner(ScalarStreamingRateWatch)),
@@ -125,7 +126,7 @@ class TestAnalysisThroughput:
         ref = slow.get("node.power_w", "c00000")
         assert got.n == ref.n and got.mean == ref.mean
         assert sweep_outliers(POWER_SWEEP, 6.0) == \
-            _sweep_outliers_slow(POWER_SWEEP, 6.0)
+            sweep_outliers_slow(POWER_SWEEP, 6.0)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ REQUIREMENTS: list[tuple[str, str, str, str]] = [
     ("Architecture",
      "Owners determine data access/transport/storage tradeoffs; "
      "options for scaling up",
-     "repro.transport.ldms:build_tree",
+     "repro.transport.aggtree:AggregatorTree",
      "configurable fan-in aggregation tree; bus and syslog alternatives"),
     ("Architecture",
      "Where access and transport of data might incur impact, that "
@@ -62,8 +62,9 @@ REQUIREMENTS: list[tuple[str, str, str, str]] = [
     ("Data Storage",
      "Easy access to historical data in conjunction with current data; "
      "hierarchical storage with locate and reload",
-     "repro.storage.hierarchy:TieredStore",
-     "archive_before/reload with a catalog; queries reload cold spans"),
+     "repro.storage.diskier:DiskTier",
+     "evict_chunks_before demotes to segment refs; queries reload "
+     "spilled chunks from the mmap"),
     ("Data Storage",
      "Analysis results should be able to be stored with raw data",
      "repro.storage.tsdb:TimeSeriesStore",

@@ -1,4 +1,4 @@
-"""Transport comparison: pub/sub bus vs LDMS pull tree vs syslog.
+"""Transport comparison: pub/sub bus vs LDMS-style aggregator tree vs syslog.
 
 Section IV-B: sites juggle "a variety of transport mechanisms" with
 different fidelity/overhead tradeoffs, and "multiple transports may in
@@ -13,13 +13,11 @@ per-node publishers).
 import time
 
 import numpy as np
-import pytest
 
 from repro.core.events import Event, EventKind, Severity
 from repro.core.metric import SeriesBatch
 from repro.transport.aggtree import AggregatorTree
 from repro.transport.bus import MessageBus
-from repro.transport.ldms import Sampler, build_tree
 from repro.transport.syslogfwd import SyslogForwarder
 
 N_NODES = 256
@@ -169,41 +167,6 @@ class TestAggregatorTreeAtScale:
         print(f"\ncoalesce ratio: window 0s = {per_sweep:.0f}x, "
               f"window 300s = {per_5min:.0f}x")
         assert per_5min > per_sweep
-
-
-class TestLdmsTree:
-    def sampler(self, i):
-        def fn(now):
-            return [SeriesBatch.sweep("m", now, [f"n{i}"], [1.0])]
-        return Sampler(f"n{i}", fn)
-
-    @pytest.mark.parametrize("fan_in", [4, 16, 256])
-    def test_bench_tree_pull(self, benchmark, fan_in):
-        root = build_tree([self.sampler(i) for i in range(N_NODES)],
-                          fan_in=fan_in)
-        out = benchmark(root.pull, 60.0)
-        assert len(out) == N_NODES
-
-    def test_deeper_trees_move_more_wire_bytes(self):
-        flat = build_tree([self.sampler(i) for i in range(N_NODES)],
-                          fan_in=256)
-        deep = build_tree([self.sampler(i) for i in range(N_NODES)],
-                          fan_in=4)
-        flat.pull(0.0)
-        deep.pull(0.0)
-
-        def total_wire(agg):
-            own = agg.wire_bytes
-            for c in agg.children:
-                if hasattr(c, "wire_bytes"):
-                    own += total_wire(c)
-            return own
-
-        wf, wd = total_wire(flat), total_wire(deep)
-        print(f"\nwire bytes per sweep: fan-in 256 (1 level) = {wf}, "
-              f"fan-in 4 ({deep.depth()} levels) = {wd} "
-              f"({wd / wf:.1f}x re-forwarding cost)")
-        assert wd > wf
 
 
 class TestSyslogUnderStorm:

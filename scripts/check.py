@@ -556,6 +556,76 @@ def check_fd_lifetime_storage() -> list[str]:
     return problems
 
 
+#: packages that read other components' surfaces: they must call what
+#: the component declares, not probe for it (a missing surface gets a
+#: default method on the class that lacks it)
+_DUCK_PROBE_DIRS = ("src/repro/obs", "src/repro/sites")
+_DUCK_PROBE_MARKER = "# probe: allowed"
+
+
+def _probe_kind(node: ast.expr) -> str | None:
+    """Name the duck-typing probe ``node`` is, if it is one: a
+    ``hasattr(...)`` call, a ``getattr`` with a default, or
+    ``callable(getattr(...))``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return None
+    name = node.func.id
+    if name == "hasattr":
+        return "hasattr()"
+    if name == "getattr" and len(node.args) >= 3:
+        return "getattr() with a default"
+    if (name == "callable" and node.args
+            and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Name)
+            and node.args[0].func.id == "getattr"):
+        return "callable(getattr())"
+    return None
+
+
+def check_duck_probes(path: Path) -> list[str]:
+    """Flag duck-typing probes in one module.
+
+    A probe (``hasattr``, ``getattr(x, name, None)``,
+    ``callable(getattr(...))``) lets a reader silently skip a surface
+    that a refactor renamed, so the gauge or report row it fed just
+    disappears.  Reading the surface directly fails loudly instead.
+    A probe that must stay carries ``# probe: allowed <reason>``.
+    """
+    src = path.read_text()
+    try:
+        tree = ast.parse(src, filename=str(path))
+    except SyntaxError:
+        return []                    # surfaced by check_file already
+    lines = src.splitlines()
+    problems: list[str] = []
+    inner: set[int] = set()
+    for node in ast.walk(tree):
+        kind = _probe_kind(node)
+        if kind is None or id(node) in inner:
+            continue
+        if kind == "callable(getattr())":
+            inner.add(id(node.args[0]))
+        if _DUCK_PROBE_MARKER in lines[node.lineno - 1]:
+            continue
+        problems.append(
+            f"{path}:{node.lineno}: duck-typing probe ({kind}); read "
+            f"the surface directly (give the class that lacks it a "
+            f"default) or mark the line '{_DUCK_PROBE_MARKER} <reason>'"
+        )
+    return problems
+
+
+def check_duck_probes_repro() -> list[str]:
+    """Run :func:`check_duck_probes` over the surface-reading packages."""
+    problems: list[str] = []
+    for rel in _DUCK_PROBE_DIRS:
+        root = REPO / rel
+        if root.is_dir():
+            for path in sorted(root.rglob("*.py")):
+                problems.extend(check_duck_probes(path))
+    return problems
+
+
 #: a full selfmon metric name (at least two dotted segments after the
 #: prefix-qualifying first); prefixes like "selfmon." in startswith()
 #: guards deliberately do not match
@@ -722,7 +792,7 @@ def lint() -> int:
     gate_problems = (check_import_cycles() + check_columnar_analysis()
                      + check_swallows_repro() + check_selfmon_registry()
                      + check_shared_state() + check_fd_lifetime_storage()
-                     + check_config_drift())
+                     + check_config_drift() + check_duck_probes_repro())
     for p in gate_problems:
         print(p)
     if gate_problems:

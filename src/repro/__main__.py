@@ -333,19 +333,15 @@ def _scale_storage_plane(args) -> None:
 
 def _scale_analysis_plane(args) -> None:
     """The analysis-plane rows of ``scale``: streaming-detector sweep
-    throughput at Trinity scale, columnar kernels vs the retained
-    scalar references."""
+    throughput of the columnar kernels at Trinity scale (their speed-up
+    over the scalar references is checked in
+    ``benchmarks/test_analysis_throughput.py``)."""
     import time as _time
 
     import numpy as np
 
-    from .analysis.anomaly import _sweep_outliers_slow, sweep_outliers
-    from .analysis.streaming import (
-        ScalarStreamingRateWatch,
-        ScalarStreamingStats,
-        StreamingRateWatch,
-        StreamingStats,
-    )
+    from .analysis.anomaly import sweep_outliers
+    from .analysis.streaming import StreamingRateWatch, StreamingStats
     from .core.metric import SeriesBatch
 
     n, n_sweeps = 27648, 3
@@ -367,43 +363,30 @@ def _scale_analysis_plane(args) -> None:
             best = min(best, _time.perf_counter() - t0)
         return best
 
-    def run_stats(cls):
-        st = cls()
+    def run_stats():
+        st = StreamingStats()
         for b in power:
             st.observe(b)
 
-    def run_outliers(fn):
+    def run_outliers():
         for b in power:
-            fn(b, z_threshold=5.0)
+            sweep_outliers(b, z_threshold=5.0)
 
-    def run_watch(cls):
-        w = cls("gpu.ecc_dbe", max_rate_per_s=0.5)
+    def run_watch():
+        w = StreamingRateWatch("gpu.ecc_dbe", max_rate_per_s=0.5)
         for b in counter:
             w.observe(b)
 
-    pairs = [
-        ("streaming stats",
-         lambda: run_stats(ScalarStreamingStats),
-         lambda: run_stats(StreamingStats)),
-        ("sweep outliers",
-         lambda: run_outliers(_sweep_outliers_slow),
-         lambda: run_outliers(sweep_outliers)),
-        ("rate watch",
-         lambda: run_watch(ScalarStreamingRateWatch),
-         lambda: run_watch(StreamingRateWatch)),
+    rows = [
+        ("streaming stats", run_stats),
+        ("sweep outliers", run_outliers),
+        ("rate watch", run_watch),
     ]
     total = n * n_sweeps
     print(f"\nanalysis plane ({n:,}-component sweeps x {n_sweeps}):")
-    slow_sum = fast_sum = 0.0
-    for label, slow_fn, fast_fn in pairs:
-        slow = best_of(slow_fn)
-        fast = best_of(fast_fn)
-        slow_sum += slow
-        fast_sum += fast
-        print(f"  {label:<17} scalar {total / slow:11,.0f} samples/s"
-              f" -> columnar {total / fast:12,.0f} samples/s"
-              f" ({slow / fast:5.1f}x)")
-    print(f"  combined detector speedup: {slow_sum / fast_sum:.1f}x")
+    for label, fn in rows:
+        print(f"  {label:<17} columnar {total / best_of(fn):12,.0f}"
+              f" samples/s")
 
 
 def _scale_parallel_plane(args) -> None:

@@ -17,9 +17,10 @@ can treat them uniformly.
 Every detector is columnar: masks and cumulative statistics are
 computed over whole value arrays and :class:`Detection` objects are
 materialized only for ``np.flatnonzero`` hit indices.  The per-sample
-originals are retained as ``*_slow`` paths — the reference
-implementations the hypothesis property tests hold the kernels
-equivalent to.
+originals live with the tests (``tests/oracles/analysis.py``), where the
+hypothesis property tests hold the kernels equivalent to them;
+:meth:`ThresholdDetector._check_slow` stays here because batches with
+repeated components take it in production.
 """
 
 from __future__ import annotations
@@ -86,30 +87,6 @@ def sweep_outliers(
         )
         for i in idx
     ]
-
-
-def _sweep_outliers_slow(
-    batch: SeriesBatch, z_threshold: float = 4.0
-) -> list[Detection]:
-    """Per-sample reference for :func:`sweep_outliers`."""
-    if len(batch) < 4:
-        return []
-    z = robust_zscores(batch.values)
-    out = []
-    for c, t, v, zi in zip(batch.components, batch.times, batch.values, z):  # per-sample: allowed
-        if np.isfinite(zi) and abs(zi) >= z_threshold:
-            out.append(
-                Detection(
-                    time=float(t),
-                    metric=batch.metric,
-                    component=str(c),
-                    score=float(zi),
-                    kind="outlier",
-                    detail=f"value={v:.4g} z={zi:.1f}",
-                )
-            )
-    out.sort(key=lambda d: -abs(d.score))
-    return out
 
 
 class ThresholdDetector:
@@ -267,34 +244,6 @@ class EwmaDetector:
             )
         return out
 
-    def _detect_slow(self, batch: SeriesBatch) -> list[Detection]:
-        """Per-sample reference for :meth:`detect`."""
-        n = len(batch)
-        if n <= self.warmup:
-            return []
-        v = batch.values
-        smooth = ewma(v, self.alpha)
-        sigma = self._sigma(v)
-        out = []
-        firing = False
-        for i in range(self.warmup, n):
-            resid = v[i] - smooth[i - 1]
-            breach = abs(resid) > self.band_sigmas * sigma
-            if breach and not firing:
-                out.append(
-                    Detection(
-                        time=float(batch.times[i]),
-                        metric=batch.metric,
-                        component=str(batch.components[i]),
-                        score=float(resid / sigma),
-                        kind="shift",
-                        detail=f"resid={resid:.4g} sigma={sigma:.4g}",
-                    )
-                )
-            firing = breach
-        return out
-
-
 class CusumDetector:
     """Two-sided CUSUM changepoint detector on one series.
 
@@ -379,36 +328,4 @@ class CusumDetector:
                 i += limit + 1
             else:
                 i += len(z)
-        return out
-
-    def _detect_slow(self, batch: SeriesBatch) -> list[Detection]:
-        """Per-sample reference for :meth:`detect`."""
-        n = len(batch)
-        if n <= self.warmup:
-            return []
-        v = batch.values
-        mu, sigma = self._estimate(v)
-        s_hi = 0.0
-        s_lo = 0.0
-        out = []
-        for i in range(self.warmup, n):
-            # winsorize so one wild sample cannot trip the statistic on
-            # its own; only *sustained* shifts accumulate past h
-            z = float(np.clip((v[i] - mu) / sigma, -4.0, 4.0))
-            s_hi = max(0.0, s_hi + z - self.k)
-            s_lo = max(0.0, s_lo - z - self.k)
-            if s_hi > self.h or s_lo > self.h:
-                direction = "up" if s_hi > self.h else "down"
-                out.append(
-                    Detection(
-                        time=float(batch.times[i]),
-                        metric=batch.metric,
-                        component=str(batch.components[i]),
-                        score=float(max(s_hi, s_lo)),
-                        kind="changepoint",
-                        detail=f"direction={direction}",
-                    )
-                )
-                s_hi = s_lo = 0.0   # restart after signalling
-                mu = float(np.median(v[max(0, i - self.warmup): i + 1]))
         return out

@@ -95,19 +95,6 @@ def ewma(x: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _ewma_slow(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-sample reference for :func:`ewma`."""
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must be in (0, 1]")
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    acc = x[0] if len(x) else 0.0
-    for i, v in enumerate(x):
-        acc = alpha * v + (1 - alpha) * acc
-        out[i] = acc
-    return out
-
-
 def rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
     """Trailing rolling mean; the first ``window-1`` points use what's
     available (expanding head) rather than NaN."""
@@ -118,19 +105,6 @@ def rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
     idx = np.arange(len(x))
     lo = np.maximum(0, idx + 1 - window)
     return (csum[idx + 1] - csum[lo]) / (idx + 1 - lo)
-
-
-def _rolling_mean_slow(x: np.ndarray, window: int) -> np.ndarray:
-    """Per-sample reference for :func:`rolling_mean`."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    x = np.asarray(x, dtype=float)
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    out = np.empty_like(x)
-    for i in range(len(x)):
-        lo = max(0, i + 1 - window)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
 
 
 def coefficient_of_variation(x: np.ndarray) -> float:

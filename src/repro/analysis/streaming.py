@@ -26,10 +26,9 @@ parallel float64 arrays) and each ``observe`` consumes the whole
 :class:`~repro.core.metric.SeriesBatch` in a handful of array ops, so a
 Trinity-scale 27,648-component sweep costs a few numpy kernels rather
 than O(components) interpreter iterations.  The original per-sample
-implementations are retained as :class:`ScalarStreamingStats` and
-:class:`ScalarStreamingRateWatch` — the reference implementations the
-property tests hold the columnar kernels equivalent to, and the
-baselines the throughput benchmarks measure against.
+implementations live with the tests (``tests/oracles/analysis.py``):
+the property tests hold the columnar kernels equivalent to them, and
+the throughput benchmarks measure against them.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.metric import MetricKey, SeriesBatch
+from ..core.metric import SeriesBatch
 from ..obs.hist import LatencyHistogram
-from .anomaly import Detection, _sweep_outliers_slow, sweep_outliers
+from .anomaly import Detection, sweep_outliers
 from .soa import ComponentTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,8 +53,6 @@ __all__ = [
     "StreamingStats",
     "StreamingOutlierDetector",
     "StreamingRateWatch",
-    "ScalarStreamingStats",
-    "ScalarStreamingRateWatch",
 ]
 
 
@@ -224,32 +221,6 @@ class StreamingStats(_BusAttached):
         return sum(t.size for t in self._tables.values())
 
 
-class ScalarStreamingStats(_BusAttached):
-    """Per-sample reference for :class:`StreamingStats` (one Python
-    object per series).  Kept as the equivalence oracle and benchmark
-    baseline; do not use on the hot path."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._moments: dict[MetricKey, RunningMoments] = {}
-        self.batches_seen = 0
-
-    def observe(self, batch: SeriesBatch) -> None:
-        self.batches_seen += 1
-        for c, v in zip(batch.components, batch.values):  # per-sample: allowed (scalar reference)
-            key = MetricKey(batch.metric, str(c))
-            m = self._moments.get(key)
-            if m is None:
-                m = self._moments[key] = RunningMoments()
-            m.update(float(v))
-
-    def get(self, metric: str, component: str) -> RunningMoments | None:
-        return self._moments.get(MetricKey(metric, component))
-
-    def series_count(self) -> int:
-        return len(self._moments)
-
-
 class StreamingOutlierDetector(_BusAttached):
     """Per-sweep robust outlier detection, evaluated at ingest."""
 
@@ -280,14 +251,6 @@ class StreamingOutlierDetector(_BusAttached):
         out = self._detections
         self._detections = []
         return out
-
-
-class ScalarStreamingOutlierDetector(StreamingOutlierDetector):
-    """Reference variant driving the per-sample ``sweep_outliers``."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._sweep_fn = _sweep_outliers_slow
 
 
 class StreamingRateWatch(_BusAttached):
@@ -373,52 +336,6 @@ class StreamingRateWatch(_BusAttached):
                 for i, rv in zip(idx.tolist(), rates.tolist())
             )
             self.detections_total += len(idx)
-
-    def drain(self) -> list[Detection]:
-        out = self._detections
-        self._detections = []
-        return out
-
-
-class ScalarStreamingRateWatch(_BusAttached):
-    """Per-sample reference for :class:`StreamingRateWatch`."""
-
-    def __init__(self, metric: str, max_rate_per_s: float) -> None:
-        super().__init__()
-        self.metric = metric
-        self.max_rate_per_s = float(max_rate_per_s)
-        self._last: dict[str, tuple[float, float]] = {}
-        self._detections: list[Detection] = []
-
-    def observe(self, batch: SeriesBatch) -> None:
-        if batch.metric != self.metric:
-            return
-        for c, t, v in zip(batch.components, batch.times, batch.values):  # per-sample: allowed (scalar reference)
-            comp = str(c)
-            prev = self._last.get(comp)
-            self._last[comp] = (float(t), float(v))
-            if prev is None:
-                continue
-            pt, pv = prev
-            dt = float(t) - pt
-            if dt <= 0:
-                continue
-            rate = (float(v) - pv) / dt
-            if rate > self.max_rate_per_s:
-                self.detections_total += 1
-                self._detections.append(
-                    Detection(
-                        time=float(t),
-                        metric=self.metric,
-                        component=comp,
-                        score=rate / self.max_rate_per_s,
-                        kind="threshold",
-                        detail=(
-                            f"rate {rate:.4g}/s exceeds "
-                            f"{self.max_rate_per_s:g}/s"
-                        ),
-                    )
-                )
 
     def drain(self) -> list[Detection]:
         out = self._detections

@@ -149,9 +149,18 @@ class ChaosTransport(Transport):
     def in_flight_points(self) -> int:
         return self.inner.in_flight_points()
 
+    def partition_depths(self) -> dict[str, int]:
+        return self.inner.partition_depths()
+
+    def partition_drops(self) -> dict[str, int]:
+        return self.inner.partition_drops()
+
+    def leaf_depths(self) -> dict[str, int]:
+        return self.inner.leaf_depths()
+
     def __getattr__(self, name: str):
-        # duck-typed selfmon surfaces (partition_depths, leaf_depths,
-        # match_cache_info, ...) pass through to the wrapped transport
+        # transport-specific surfaces (match_cache_info, partition_of,
+        # ...) pass through to the wrapped transport
         return getattr(self.inner, name)
 
 
@@ -345,9 +354,10 @@ def crash_and_recover(
     from pathlib import Path
 
     from ..storage.diskier import recover_sharded, recover_store
+    from ..storage.sharded import ShardedTimeSeriesStore
 
     old = p.tsdb
-    if hasattr(old, "shards"):
+    if isinstance(old, ShardedTimeSeriesStore):
         tiers = [s.disk for s in old.shards]
         if any(t is None for t in tiers):
             raise TypeError("crash_and_recover needs a disk-backed store")
@@ -364,7 +374,7 @@ def crash_and_recover(
             redo_points=old.redo_points,
         )
     else:
-        tier = getattr(old, "disk", None)
+        tier = old.disk
         if tier is None:
             raise TypeError("crash_and_recover needs a disk-backed store")
         tier.simulate_crash()
@@ -381,14 +391,14 @@ def crash_and_recover(
         new.clock = old.clock
     except AttributeError:
         pass
-    if hasattr(new, "redo_pending_points"):
+    if isinstance(new, ShardedTimeSeriesStore):
         new.ledger = p.ledger
     p.tsdb = new
     fe = p.frontend
     fe.store = new
     # recovered stores restart query epochs at 0 — stale cache entries
     # would otherwise validate against the wrong store generation
-    fe._epoch_of = getattr(new, "query_epoch", None)
+    fe._epoch_of = new.query_epoch
     fe.result_cache.clear()
 
     moved = p.ledger.account_crash(new.points_by_metric(), cause=cause)

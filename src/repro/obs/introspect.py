@@ -6,15 +6,17 @@ completeness* end to end and that monitoring overhead be documented.
 :class:`HealthReport`: per-stage span timings (from the tracer), bus
 drop/backpressure status with per-subscription queue depths, the
 slowest recent spans, per-collector latency summaries, store sizes, and
-the completeness ratio — rendered by ``python -m repro obs``.
+the completeness ratio — rendered by ``python -m repro obs``.  It is
+built from the same :func:`~repro.obs.selfmetrics.read_vitals` read the
+``selfmon.*`` gauges come from, so the two views cannot disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from .selfmetrics import _cache_stats, _tsdb_stats, completeness_ratio
+from .selfmetrics import read_vitals
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
@@ -90,15 +92,15 @@ class HealthReport:
 
 
 class PipelineIntrospector:
-    """Reads every layer's stats surfaces into one health report."""
+    """Builds one health report from a single read of the stack's vitals."""
 
     def __init__(self, pipeline: "MonitoringPipeline") -> None:
         self.pipeline = pipeline
 
     def report(self, slowest_n: int = 5) -> HealthReport:
         p = self.pipeline
+        v = read_vitals(p)
         agg = p.tracer.aggregate()
-        ticks = int(agg.get("tick", {}).get("count", 0))
         stages = tuple(
             StageReport(
                 name=name,
@@ -110,183 +112,111 @@ class PipelineIntrospector:
             for name in STAGES
             if (a := agg.get(name)) is not None
         )
-        stats = p.bus.stats()
         slowest = tuple(
             (
                 s.name,
                 1000.0 * s.duration_s,
-                ",".join(f"{k}={v}" for k, v in s.attrs.items()),
+                ",".join(f"{k}={val}" for k, val in s.attrs.items()),
             )
             for s in p.tracer.slowest(slowest_n)
         )
         collectors = {}
-        for c in p.scheduler.collectors:
-            entry: dict[str, float] = {
+        for c in v.collectors:
+            entry = {
                 "sweeps": float(c.sweeps),
                 "samples": float(c.samples_produced),
                 "wall_per_sweep_ms": (
                     1000.0 * c.collect_wall_s / c.sweeps if c.sweeps else 0.0
                 ),
             }
-            hist = p.scheduler.latency.get(c.name)
-            if hist is not None and len(hist):
-                s = hist.summary()
-                entry["p50_ms"] = 1000.0 * s["p50_s"]
-                entry["p95_ms"] = 1000.0 * s["p95_s"]
-                entry["max_ms"] = 1000.0 * s["max_s"]
+            lat = v.collector_latency.get(c.name)
+            if lat is not None:
+                entry.update(p50_ms=lat["p50_ms"], p95_ms=lat["p95_ms"],
+                             max_ms=lat["max_ms"])
             collectors[c.name] = entry
-        tstats = _tsdb_stats(p.tsdb)
+        st = v.store
         stores = {
-            "log_events": float(len(p.logs)),
-            "sql_bytes": float(p.sql.footprint_bytes()),
+            "log_events": float(v.log_events),
+            "sql_bytes": float(v.sql_bytes),
+            "tsdb_points": float(st.samples),
+            "tsdb_series": float(st.series),
+            "tsdb_bytes": float(st.compressed_bytes),
         }
-        if tstats is not None:
-            stores.update(
-                tsdb_points=float(tstats.samples),
-                tsdb_series=float(tstats.series),
-                tsdb_bytes=float(tstats.compressed_bytes),
-            )
-        # tiered-transport / sharded-store surfaces (duck-typed: absent
-        # on the flat bus and the single store)
-        partitions: dict[str, int] = {}
-        for probe in ("partition_depths", "leaf_depths"):
-            fn = getattr(p.bus, probe, None)
-            if callable(fn):
-                partitions.update(fn())
-        shards: dict[str, dict[str, float]] = {}
-        per_shard = getattr(p.tsdb, "per_shard_stats", None)
-        if callable(per_shard):
-            shards = {
-                f"shard-{i}": {
-                    "points": float(s.samples),
-                    "series": float(s.series),
-                    "bytes": float(s.compressed_bytes),
+        analysis = {name: {**d, **v.detector_latency.get(name, {})}
+                    for name, d in v.detectors.items()}
+        c = v.cache
+        chunk_cache = {
+            "hits": float(c.hits),
+            "misses": float(c.misses),
+            "evictions": float(c.evictions),
+            "bytes": float(c.bytes),
+            "hit_ratio": c.hit_ratio,
+        }
+        disk = ({} if v.disk is None
+                else {k: float(n) for k, n in asdict(v.disk).items()})
+        b = v.balance
+        ledger = {} if b is None else {
+            "published": float(b.published),
+            "stored": float(b.stored),
+            "lost": float(b.lost),
+            "pending": float(b.pending),
+            "in_flight": float(b.in_flight),
+            "unaccounted": float(b.unaccounted),
+        }
+        sv = v.serve
+        fe = p.frontend
+        serve = {
+            "queries": float(sv.queries),
+            "rejected": float(sv.rejected),
+            "pyramid_answers": float(sv.pyramid_answers),
+            "raw_answers": float(sv.raw_answers),
+            "cache_hits": float(sv.cache.hits),
+            "cache_misses": float(sv.cache.misses),
+            "cache_stale": float(sv.cache.stale),
+            "cache_bytes": float(sv.cache.bytes),
+            "cache_hit_ratio": sv.cache.hit_ratio,
+            "tenants": {
+                t: {
+                    "admitted": float(ts.admitted),
+                    "rejected_rate": float(ts.rejected_rate),
+                    "rejected_concurrency": float(ts.rejected_concurrency),
                 }
-                for i, s in enumerate(per_shard())
-            }
-        analysis: dict[str, dict[str, float]] = {}
-        for stage_obj in p.stages:
-            if getattr(stage_obj, "name", "") != "streaming":
-                continue
-            for det in getattr(stage_obj, "detectors", ()):
-                entry = {
-                    "batches": float(getattr(det, "batches_observed", 0)),
-                    "samples": float(getattr(det, "samples_observed", 0)),
-                    "detections": float(getattr(det, "detections_total", 0)),
-                }
-                hist = getattr(det, "latency", None)
-                if hist is not None and len(hist):
-                    s = hist.summary()
-                    entry["p50_ms"] = 1000.0 * s["p50_s"]
-                    entry["p95_ms"] = 1000.0 * s["p95_s"]
-                    entry["max_ms"] = 1000.0 * s["max_s"]
-                analysis[getattr(det, "name", type(det).__name__)] = entry
-        chunk_cache: dict[str, float] = {}
-        cstats = _cache_stats(p.tsdb)
-        if cstats is not None:
-            chunk_cache = {
-                "hits": float(cstats.hits),
-                "misses": float(cstats.misses),
-                "evictions": float(cstats.evictions),
-                "bytes": float(cstats.bytes),
-                "hit_ratio": cstats.hit_ratio,
-            }
-        disk: dict[str, float] = {}
-        dfn = getattr(p.tsdb, "disk_stats", None)
-        dstats = dfn() if callable(dfn) else None
-        if dstats is not None:
-            disk = {
-                "segments": float(dstats.segments),
-                "disk_bytes": float(dstats.disk_bytes),
-                "wal_bytes": float(dstats.wal_bytes),
-                "hot_bytes": float(dstats.hot_bytes),
-                "hot_chunks": float(dstats.hot_chunks),
-                "spills": float(dstats.spills),
-                "loads": float(dstats.loads),
-                "map_hits": float(dstats.map_hits),
-                "remaps": float(dstats.remaps),
-                "wal_records": float(dstats.wal_records),
-                "wal_syncs": float(dstats.wal_syncs),
-            }
-        health = (p.health_report()
-                  if callable(getattr(p, "health_report", None)) else {})
-        fresh: dict = {}
-        tracker = getattr(p, "freshness", None)
-        if tracker is not None and tracker.batches:
-            fresh = tracker.snapshot()
-        ledger: dict[str, float] = {}
-        balance = (p.delivery_report()
-                   if callable(getattr(p, "delivery_report", None)) else None)
-        if balance is not None:
-            ledger = {
-                "published": float(balance.published),
-                "stored": float(balance.stored),
-                "lost": float(balance.lost),
-                "pending": float(balance.pending),
-                "in_flight": float(balance.in_flight),
-                "unaccounted": float(balance.unaccounted),
-            }
-        executor: dict = {}
-        ex = getattr(p, "executor", None)
-        if ex is not None:
-            executor = ex.snapshot()
-        serve: dict = {}
-        fe = getattr(p, "frontend", None)
-        if fe is not None:
-            sstats = fe.stats()
-            serve = {
-                "queries": float(sstats.queries),
-                "rejected": float(sstats.rejected),
-                "pyramid_answers": float(sstats.pyramid_answers),
-                "raw_answers": float(sstats.raw_answers),
-                "cache_hits": float(sstats.cache.hits),
-                "cache_misses": float(sstats.cache.misses),
-                "cache_stale": float(sstats.cache.stale),
-                "cache_bytes": float(sstats.cache.bytes),
-                "cache_hit_ratio": sstats.cache.hit_ratio,
-                "tenants": {
-                    t: {
-                        "admitted": float(ts.admitted),
-                        "rejected_rate": float(ts.rejected_rate),
-                        "rejected_concurrency":
-                            float(ts.rejected_concurrency),
-                    }
-                    for t in fe.tenants()
-                    for ts in (fe.tenant_stats(t),)
-                },
-            }
-        return HealthReport(
-            ticks=ticks,
-            stages=stages,
-            completeness=completeness_ratio(
-                stats.delivered, stats.dropped, stats.errors
-            ),
-            bus={
-                "published": stats.published,
-                "delivered": stats.delivered,
-                "dropped": stats.dropped,
-                "errors": stats.errors,
-                "subscriptions": stats.subscriptions,
+                for t in fe.tenants()
+                for ts in (fe.tenant_stats(t),)
             },
-            queue_depths=p.bus.queue_depths(),
+        }
+        bus = v.bus
+        return HealthReport(
+            ticks=v.tick[0] if v.tick is not None else 0,
+            stages=stages,
+            completeness=v.completeness,
+            bus={
+                "published": bus.published,
+                "delivered": bus.delivered,
+                "dropped": bus.dropped,
+                "errors": bus.errors,
+                "subscriptions": bus.subscriptions,
+            },
+            queue_depths=v.queue_depths,
             slowest_spans=slowest,
             collectors=collectors,
             stores=stores,
             counts={
-                "sec_rule_fires": len(p.sec.requests),
-                "sec_events_seen": p.sec.events_seen,
-                "actions_executed": len(p.actions.audit),
-                "alerts": len(p.alerts.alerts),
+                "sec_rule_fires": v.sec_rule_fires,
+                "sec_events_seen": v.sec_events_seen,
+                "actions_executed": v.actions_executed,
+                "alerts": v.alerts,
             },
-            partitions=partitions,
-            shards=shards,
+            partitions={**v.partition_depths, **v.leaf_depths},
+            shards=v.shards,
             chunk_cache=chunk_cache,
             disk=disk,
             analysis=analysis,
-            health=health,
+            health=p.health_report(),
             ledger=ledger,
-            freshness=fresh,
-            executor=executor,
+            freshness=(v.freshness.snapshot()
+                       if v.freshness is not None else {}),
+            executor=next(iter(v.executor.values())),
             serve=serve,
         )
 
@@ -352,14 +282,10 @@ class PipelineIntrospector:
                         f" p95={c['p95_ms']:7.3f} ms"
                         f" max={c['max_ms']:7.3f} ms"
                     )
-        tsdb_part = (
-            f"tsdb {int(r.stores['tsdb_points'])} points / "
+        lines.append(
+            f"stores: tsdb {int(r.stores['tsdb_points'])} points / "
             f"{int(r.stores['tsdb_series'])} series / "
             f"{int(r.stores['tsdb_bytes'])} B compressed; "
-            if "tsdb_points" in r.stores else ""
-        )
-        lines.append(
-            f"stores: {tsdb_part}"
             f"logs {int(r.stores['log_events'])} events; "
             f"sql {int(r.stores['sql_bytes'])} B"
         )

@@ -10,127 +10,47 @@ rule-fire and action-execution counts, and the pipeline tick time —
 and publishes them as ordinary :class:`~repro.core.metric.SeriesBatch`es
 on ``selfmon.*`` topics.
 
-Because they ride the same bus, they land in the same TSDB, dashboards,
-streaming detectors, and analysis hooks as machine telemetry: the
-monitoring plane is monitored by itself, with no parallel plumbing.
-Every name is declared in :mod:`repro.core.registry` so the
+Every component's counters are read once per emission by
+:func:`read_vitals`; the gauges are one ordered table over that read
+(:data:`GAUGES`), and :class:`~repro.obs.introspect.PipelineIntrospector`
+builds its health report from the same read.  Because the gauges ride
+the same bus, they land in the same TSDB, dashboards, streaming
+detectors, and analysis hooks as machine telemetry: the monitoring
+plane is monitored by itself, with no parallel plumbing.  Unit, class
+and meaning of every name live in :mod:`repro.core.registry` so the
 ``verify_registered`` discipline covers the self-monitoring plane too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
-from ..core.metric import SeriesBatch
+import numpy as np
+
+from ..core.metric import SeriesBatch, component_array
 from ..core.registry import MetricRegistry
 from ..core.tracectx import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.ledger import BalanceReport
+    from ..obs.freshness import FreshnessTracker
     from ..pipeline import MonitoringPipeline
+    from ..serve.frontend import ServeStats
+    from ..storage.chunkcache import ChunkCacheStats
+    from ..storage.diskier import DiskTierStats
+    from ..storage.tsdb import StoreStats
+    from ..transport.base import BusStats
 
-__all__ = ["SELFMON_METRICS", "SelfMonitor", "completeness_ratio"]
-
-#: every metric the self-monitoring plane publishes (registry contract)
-SELFMON_METRICS: tuple[str, ...] = (
-    "selfmon.bus.publish_rate",
-    "selfmon.bus.deliver_rate",
-    "selfmon.bus.drop_rate",
-    "selfmon.bus.dropped",
-    "selfmon.bus.errors",
-    "selfmon.bus.queue_depth",
-    "selfmon.bus.completeness",
-    "selfmon.bus.partition_depth",
-    "selfmon.bus.partition_dropped",
-    "selfmon.collector.sweep_p50_ms",
-    "selfmon.collector.sweep_p95_ms",
-    "selfmon.collector.sweep_max_ms",
-    "selfmon.collector.sweeps",
-    "selfmon.store.tsdb_ingest_rate",
-    "selfmon.store.tsdb_points",
-    "selfmon.store.tsdb_bytes",
-    "selfmon.store.shard_points",
-    "selfmon.store.shard_series",
-    "selfmon.store.shard_bytes",
-    "selfmon.store.cache_hits",
-    "selfmon.store.cache_misses",
-    "selfmon.store.cache_evictions",
-    "selfmon.store.cache_bytes",
-    "selfmon.store.disk_bytes",
-    "selfmon.store.disk_hot_bytes",
-    "selfmon.store.disk_spill_rate",
-    "selfmon.store.disk_load_rate",
-    "selfmon.store.disk_map_hits",
-    "selfmon.store.log_events",
-    "selfmon.store.sql_bytes",
-    "selfmon.sec.rule_fires",
-    "selfmon.sec.events_seen",
-    "selfmon.actions.executed",
-    "selfmon.analysis.batches",
-    "selfmon.analysis.detections",
-    "selfmon.analysis.sweep_p50_ms",
-    "selfmon.analysis.sweep_p95_ms",
-    "selfmon.analysis.sweep_max_ms",
-    "selfmon.pipeline.tick_ms",
-    "selfmon.exec.busy_fraction",
-    "selfmon.exec.barrier_wait_ms",
-    "selfmon.exec.handoff_depth",
-    "selfmon.health.state",
-    "selfmon.health.transitions",
-    "selfmon.ledger.published_points",
-    "selfmon.ledger.stored_points",
-    "selfmon.ledger.lost_points",
-    "selfmon.ledger.pending_points",
-    "selfmon.ledger.inflight_points",
-    "selfmon.ledger.unaccounted_points",
-    "selfmon.freshness.e2e_p50_s",
-    "selfmon.freshness.e2e_p99_s",
-    "selfmon.freshness.e2e_max_s",
-    "selfmon.freshness.hop_mean_s",
-    "selfmon.freshness.hop_p99_s",
-    "selfmon.freshness.batches",
-    "selfmon.freshness.slo_burn_rate",
-    "selfmon.freshness.slo_breaches",
-    "selfmon.trace.dropped",
-    "selfmon.serve.qps",
-    "selfmon.serve.queries",
-    "selfmon.serve.rejected",
-    "selfmon.serve.cache_hit_ratio",
-    "selfmon.serve.cache_bytes",
-    "selfmon.serve.pyramid_answers",
-    "selfmon.serve.raw_answers",
-)
-
-
-def _tsdb_stats(tsdb):
-    """Stats of the numeric store, tolerating swapped-in backends.
-
-    ``pipeline.tsdb`` is replaceable (e.g. by a ``TieredStore`` whose
-    hot tier holds the stats surface); self-monitoring must observe
-    whatever is installed rather than constrain it.
-    """
-    stats = getattr(tsdb, "stats", None)
-    if callable(stats):
-        return stats()
-    hot = getattr(tsdb, "hot", None)
-    if hot is not None and callable(getattr(hot, "stats", None)):
-        return hot.stats()
-    return None
-
-
-def _cache_stats(tsdb):
-    """Chunk-cache counters of the numeric store, if it has any.
-
-    Duck-typed like :func:`_tsdb_stats`: plain, sharded, and tiered
-    stores all expose ``cache_stats()``; anything else (or a store
-    built without a cache) simply reports nothing.
-    """
-    cache_stats = getattr(tsdb, "cache_stats", None)
-    if callable(cache_stats):
-        return cache_stats()
-    hot = getattr(tsdb, "hot", None)
-    if hot is not None and callable(getattr(hot, "cache_stats", None)):
-        return hot.cache_stats()
-    return None
+__all__ = [
+    "GAUGES",
+    "SELFMON_METRICS",
+    "SelfMonitor",
+    "Vitals",
+    "completeness_ratio",
+    "read_vitals",
+]
 
 
 def completeness_ratio(delivered: int, dropped: int, errors: int) -> float:
@@ -146,6 +66,256 @@ def completeness_ratio(delivered: int, dropped: int, errors: int) -> float:
     if attempted <= 0:
         return 1.0
     return (delivered - dropped) / attempted
+
+
+@dataclass(slots=True)
+class Vitals:
+    """One read of every component's counters.
+
+    Single-valued planes are the stats objects the components expose
+    (``None`` when the plane is absent); per-component planes are dicts
+    keyed by the label their gauges publish under (empty when absent).
+    """
+
+    bus: "BusStats"
+    completeness: float
+    queue_depths: dict[str, int]
+    partition_depths: dict[str, int]
+    partition_drops: dict[str, int]
+    leaf_depths: dict[str, int]
+    collectors: list
+    #: per timed collector: p50/p95/max sweep latency (ms) and sweeps
+    collector_latency: dict[str, dict[str, float]]
+    store: "StoreStats"
+    #: per shard: points/series/bytes (empty for the single store)
+    shards: dict[str, dict[str, float]]
+    cache: "ChunkCacheStats"
+    disk: "DiskTierStats | None"
+    log_events: int
+    sql_bytes: int
+    sec_rule_fires: int
+    sec_events_seen: int
+    actions_executed: int
+    alerts: int
+    #: per streaming detector: batches/samples/detections
+    detectors: dict[str, dict[str, float]]
+    #: per timed streaming detector: p50/p95/max latency (ms)
+    detector_latency: dict[str, dict[str, float]]
+    #: supervised component -> health code (sorted by name)
+    health: dict[str, int]
+    transitions: int | None
+    balance: "BalanceReport | None"
+    #: the freshness tracker once it has folded a traced batch
+    freshness: "FreshnessTracker | None"
+    e2e: dict[str, float] | None
+    hops: dict[str, dict[str, float]]
+    slos: dict[str, dict]
+    #: execution-model snapshot, keyed by the executor's name
+    executor: dict[str, dict]
+    serve: "ServeStats"
+    #: (count, total_s) of the tracer's root ``tick`` spans
+    tick: tuple[int, float] | None
+    trace_dropped: int
+
+
+def _latency_ms(hist) -> dict[str, float]:
+    s = hist.summary()
+    return {
+        "p50_ms": 1000.0 * s["p50_s"],
+        "p95_ms": 1000.0 * s["p95_s"],
+        "max_ms": 1000.0 * s["max_s"],
+    }
+
+
+def read_vitals(p: "MonitoringPipeline") -> Vitals:
+    """Read every component's counters once (direct attribute access)."""
+    bus = p.bus
+    stats = bus.stats()
+    latency = p.scheduler.latency
+    collectors = p.scheduler.collectors
+    collector_latency = {}
+    for c in collectors:
+        hist = latency.get(c.name)
+        if hist is not None and len(hist):
+            entry = _latency_ms(hist)
+            entry["sweeps"] = float(c.sweeps)
+            collector_latency[c.name] = entry
+    tsdb = p.tsdb
+    shards = {
+        f"shard-{i}": {
+            "points": float(s.samples),
+            "series": float(s.series),
+            "bytes": float(s.compressed_bytes),
+        }
+        for i, s in enumerate(tsdb.per_shard_stats())
+    }
+    detectors, detector_latency = {}, {}
+    for stage in p.stages:
+        if stage.name == "streaming":
+            for d in stage.detectors:
+                detectors[d.name] = {
+                    "batches": float(d.batches_observed),
+                    "samples": float(d.samples_observed),
+                    "detections": float(d.detections_total),
+                }
+                if len(d.latency):
+                    detector_latency[d.name] = _latency_ms(d.latency)
+    sup = p.supervisor
+    supervised = sup is not None and bool(sup.components)
+    health = ({n: sup.components[n].health.code for n in sorted(sup.components)}
+              if supervised else {})
+    fr = p.freshness
+    if fr is None or not fr.batches:
+        fr = None
+    ex = p.executor
+    return Vitals(
+        bus=stats,
+        completeness=completeness_ratio(
+            stats.delivered, stats.dropped, stats.errors),
+        queue_depths=stats.queue_depths,
+        partition_depths=bus.partition_depths(),
+        partition_drops=bus.partition_drops(),
+        leaf_depths=bus.leaf_depths(),
+        collectors=collectors,
+        collector_latency=collector_latency,
+        store=tsdb.stats(),
+        shards=shards,
+        cache=tsdb.cache_stats(),
+        disk=tsdb.disk_stats(),
+        log_events=len(p.logs),
+        sql_bytes=p.sql.footprint_bytes(),
+        sec_rule_fires=len(p.sec.requests),
+        sec_events_seen=p.sec.events_seen,
+        actions_executed=len(p.actions.audit),
+        alerts=len(p.alerts.alerts),
+        detectors=detectors,
+        detector_latency=detector_latency,
+        health=health,
+        transitions=len(sup.transitions) if supervised else None,
+        balance=p.delivery_report(),
+        freshness=fr,
+        e2e=fr.e2e.summary() if fr is not None else None,
+        hops=fr.hop_summaries() if fr is not None else {},
+        slos=({s["name"]: s for s in fr.slo_status()}
+              if fr is not None else {}),
+        executor={ex.name: ex.snapshot()},
+        serve=p.frontend.stats(),
+        tick=p.tracer.snapshot_counts().get("tick"),
+        trace_dropped=p.tracer.dropped,
+    )
+
+
+LEVEL, RATE, TICK_MS = "level", "rate", "tick-ms"
+
+#: The selfmon gauge table, in emission order:
+#: ``(metric, source, component, kind)``.  ``source`` is a
+#: :class:`Vitals` field, optionally followed by ``.field`` of it; a
+#: ``None`` component fans a per-component field out into one sample
+#: per key (``.field`` then picks from each record; fan-outs are
+#: levels).  An absent (``None``) or empty source publishes nothing.
+#: ``LEVEL`` publishes the value, ``RATE`` its change per second since
+#: the last emission, ``TICK_MS`` the mean tick wall time (ms) since
+#: then.
+GAUGES: tuple[tuple[str, str, str | None, str], ...] = (
+    ("selfmon.bus.publish_rate", "bus.published", "bus", RATE),
+    ("selfmon.bus.deliver_rate", "bus.delivered", "bus", RATE),
+    ("selfmon.bus.drop_rate", "bus.dropped", "bus", RATE),
+    ("selfmon.bus.dropped", "bus.dropped", "bus", LEVEL),
+    ("selfmon.bus.errors", "bus.errors", "bus", LEVEL),
+    ("selfmon.bus.completeness", "completeness", "bus", LEVEL),
+    ("selfmon.bus.queue_depth", "queue_depths", None, LEVEL),
+    ("selfmon.bus.partition_depth", "partition_depths", None, LEVEL),
+    ("selfmon.bus.partition_dropped", "partition_drops", None, LEVEL),
+    ("selfmon.bus.partition_depth", "leaf_depths", None, LEVEL),
+    ("selfmon.collector.sweep_p50_ms", "collector_latency.p50_ms", None, LEVEL),
+    ("selfmon.collector.sweep_p95_ms", "collector_latency.p95_ms", None, LEVEL),
+    ("selfmon.collector.sweep_max_ms", "collector_latency.max_ms", None, LEVEL),
+    ("selfmon.collector.sweeps", "collector_latency.sweeps", None, LEVEL),
+    ("selfmon.store.tsdb_ingest_rate", "store.samples", "tsdb", RATE),
+    ("selfmon.store.tsdb_points", "store.samples", "tsdb", LEVEL),
+    ("selfmon.store.tsdb_bytes", "store.compressed_bytes", "tsdb", LEVEL),
+    ("selfmon.store.shard_points", "shards.points", None, LEVEL),
+    ("selfmon.store.shard_series", "shards.series", None, LEVEL),
+    ("selfmon.store.shard_bytes", "shards.bytes", None, LEVEL),
+    ("selfmon.store.cache_hits", "cache.hits", "chunk-cache", LEVEL),
+    ("selfmon.store.cache_misses", "cache.misses", "chunk-cache", LEVEL),
+    ("selfmon.store.cache_evictions", "cache.evictions", "chunk-cache", LEVEL),
+    ("selfmon.store.cache_bytes", "cache.bytes", "chunk-cache", LEVEL),
+    ("selfmon.store.disk_bytes", "disk.disk_bytes", "disk-tier", LEVEL),
+    ("selfmon.store.disk_hot_bytes", "disk.hot_bytes", "disk-tier", LEVEL),
+    ("selfmon.store.disk_spill_rate", "disk.spills", "disk-tier", RATE),
+    ("selfmon.store.disk_load_rate", "disk.loads", "disk-tier", RATE),
+    ("selfmon.store.disk_map_hits", "disk.map_hits", "disk-tier", LEVEL),
+    ("selfmon.store.log_events", "log_events", "logstore", LEVEL),
+    ("selfmon.store.sql_bytes", "sql_bytes", "sqlstore", LEVEL),
+    ("selfmon.sec.rule_fires", "sec_rule_fires", "sec", LEVEL),
+    ("selfmon.sec.events_seen", "sec_events_seen", "sec", LEVEL),
+    ("selfmon.actions.executed", "actions_executed", "actions", LEVEL),
+    ("selfmon.analysis.batches", "detectors.batches", None, LEVEL),
+    ("selfmon.analysis.detections", "detectors.detections", None, LEVEL),
+    ("selfmon.analysis.sweep_p50_ms", "detector_latency.p50_ms", None, LEVEL),
+    ("selfmon.analysis.sweep_p95_ms", "detector_latency.p95_ms", None, LEVEL),
+    ("selfmon.analysis.sweep_max_ms", "detector_latency.max_ms", None, LEVEL),
+    ("selfmon.health.state", "health", None, LEVEL),
+    ("selfmon.health.transitions", "transitions", "supervisor", LEVEL),
+    ("selfmon.ledger.published_points", "balance.published", "ledger", LEVEL),
+    ("selfmon.ledger.stored_points", "balance.stored", "ledger", LEVEL),
+    ("selfmon.ledger.lost_points", "balance.lost", "ledger", LEVEL),
+    ("selfmon.ledger.pending_points", "balance.pending", "ledger", LEVEL),
+    ("selfmon.ledger.inflight_points", "balance.in_flight", "ledger", LEVEL),
+    ("selfmon.ledger.unaccounted_points", "balance.unaccounted", "ledger",
+     LEVEL),
+    ("selfmon.freshness.e2e_p50_s", "e2e.p50_s", "freshness", LEVEL),
+    ("selfmon.freshness.e2e_p99_s", "e2e.p99_s", "freshness", LEVEL),
+    ("selfmon.freshness.e2e_max_s", "e2e.max_s", "freshness", LEVEL),
+    ("selfmon.freshness.batches", "freshness.batches", "freshness", LEVEL),
+    ("selfmon.freshness.hop_mean_s", "hops.mean_s", None, LEVEL),
+    ("selfmon.freshness.hop_p99_s", "hops.p99_s", None, LEVEL),
+    ("selfmon.freshness.slo_burn_rate", "slos.burn_rate", None, LEVEL),
+    ("selfmon.freshness.slo_breaches", "slos.breaches", None, LEVEL),
+    ("selfmon.exec.busy_fraction", "executor.busy_fraction", None, LEVEL),
+    ("selfmon.exec.barrier_wait_ms", "executor.barrier_wait_ms", None, LEVEL),
+    ("selfmon.exec.handoff_depth", "executor.handoff_depth", None, LEVEL),
+    ("selfmon.trace.dropped", "trace_dropped", "tracer", LEVEL),
+    ("selfmon.serve.qps", "serve.queries", "frontend", RATE),
+    ("selfmon.serve.queries", "serve.queries", "frontend", LEVEL),
+    ("selfmon.serve.rejected", "serve.rejected", "frontend", LEVEL),
+    ("selfmon.serve.cache_hit_ratio", "serve.cache_hit_ratio", "result-cache",
+     LEVEL),
+    ("selfmon.serve.cache_bytes", "serve.cache.bytes", "result-cache", LEVEL),
+    ("selfmon.serve.pyramid_answers", "serve.pyramid_answers", "planner",
+     LEVEL),
+    ("selfmon.serve.raw_answers", "serve.raw_answers", "planner", LEVEL),
+    ("selfmon.pipeline.tick_ms", "tick", "pipeline", TICK_MS),
+)
+
+#: every metric the self-monitoring plane publishes (registry contract)
+SELFMON_METRICS: tuple[str, ...] = tuple(dict.fromkeys(g[0] for g in GAUGES))
+
+
+def _compile(source: str, fan_out: bool):
+    """``"section.field"`` -> (section getter, field reader).
+
+    Fan-out records are dicts; a fixed row's section is a stats object,
+    or a dict where :class:`Vitals` declares one.  The reader is the
+    identity when the source names a whole section.
+    """
+    section, _, field = source.partition(".")
+    if not field:
+        return attrgetter(section), lambda x: x
+    keyed = fan_out or Vitals.__annotations__[section].startswith("dict")
+    return attrgetter(section), (itemgetter if keyed else attrgetter)(field)
+
+
+#: GAUGES with sources compiled: (metric, section, read, components,
+#: kind).  A fixed component label becomes one read-only array reused by
+#: every emission, so the store's per-array memos hit on selfmon batches
+#: as they do on collector sweeps.
+_COMPILED = tuple(
+    (metric, *_compile(source, component is None),
+     None if component is None else component_array([component]), kind)
+    for metric, source, component, kind in GAUGES
+)
 
 
 class SelfMonitor:
@@ -167,25 +337,13 @@ class SelfMonitor:
         self.emissions = 0
         self._last_t: float | None = None
         self._next_due = 0.0
-        self._prev_bus: tuple[int, int, int] = (0, 0, 0)
-        self._prev_tsdb_samples = 0
-        self._prev_tick: tuple[int, float] = (0, 0.0)
-        self._prev_serve_queries = 0
-        self._prev_disk: tuple[int, int] = (0, 0)   # (spills, loads)
+        #: counter baselines of the RATE/TICK_MS gauges, by gauge index
+        self._prev: dict[int, float | tuple[int, float]] = {}
 
     def verify_registered(self, registry: MetricRegistry) -> None:
         """Fail fast if any self-metric is undocumented (Table I)."""
         for m in self.metrics:
             registry.get(m)
-
-    def _streaming_detectors(self) -> list:
-        """Instrumented detectors on the streaming stage (duck-typed:
-        custom detectors without the self-report surface are skipped)."""
-        for stage in getattr(self.pipeline, "stages", ()):
-            if getattr(stage, "name", "") == "streaming":
-                return [d for d in getattr(stage, "detectors", ())
-                        if hasattr(d, "latency") and hasattr(d, "name")]
-        return []
 
     # -- cadence -----------------------------------------------------------
 
@@ -204,32 +362,23 @@ class SelfMonitor:
         batches = self.sample(now, elapsed_s=now - self._last_t)
         p = self.pipeline
         bus = p.bus
-        traced = getattr(p, "freshness", None) is not None
+        traced = p.freshness is not None
         for b in batches:
             if traced:
                 # the selfmon plane's own batches are freshness-traced
                 # too — meta-metrics get the same timeliness guarantee
-                b.trace = TraceContext.start(
-                    now, tick=getattr(p, "ticks", 0)
-                )
+                b.trace = TraceContext.start(now, tick=p.ticks)
             bus.publish(b.metric, b, source=self.source)
         self.emissions += 1
         return batches
 
     def _baseline(self, now: float) -> None:
-        p = self.pipeline
-        stats = p.bus.stats()
-        self._prev_bus = (stats.published, stats.delivered, stats.dropped)
-        tstats = _tsdb_stats(p.tsdb)
-        self._prev_tsdb_samples = tstats.samples if tstats else 0
-        agg = p.tracer.snapshot_counts().get("tick")
-        self._prev_tick = agg if agg is not None else (0, 0.0)
-        fe = getattr(p, "frontend", None)
-        self._prev_serve_queries = fe.stats().queries if fe is not None else 0
-        disk = getattr(p.tsdb, "disk_stats", None)
-        dstats = disk() if callable(disk) else None
-        self._prev_disk = ((dstats.spills, dstats.loads)
-                           if dstats is not None else (0, 0))
+        v = read_vitals(self.pipeline)
+        for i, (_, section, read, _, kind) in enumerate(_COMPILED):
+            if kind is not LEVEL:
+                sec = section(v)
+                if sec is not None:
+                    self._prev[i] = read(sec)
         self._last_t = now
         self._next_due = now + self.interval_s
 
@@ -241,259 +390,34 @@ class SelfMonitor:
         The counters read here also become the next baseline — one
         stats walk per cadence, not two.
         """
-        p = self.pipeline
+        v = read_vitals(self.pipeline)
         elapsed = max(float(elapsed_s), 1e-9)
+        prev = self._prev
+        sweep = SeriesBatch.sweep
+        # every one-component batch of this sweep shares one read-only
+        # timestamp array
+        at = np.full(1, float(now))
+        at.flags.writeable = False
         out: list[SeriesBatch] = []
-
-        def one(metric: str, component: str, value: float) -> None:
-            out.append(SeriesBatch.sweep(metric, now, [component], [value]))
-
-        # -- bus -----------------------------------------------------------
-        stats = p.bus.stats()
-        d_pub = stats.published - self._prev_bus[0]
-        d_del = stats.delivered - self._prev_bus[1]
-        d_drop = stats.dropped - self._prev_bus[2]
-        one("selfmon.bus.publish_rate", "bus", d_pub / elapsed)
-        one("selfmon.bus.deliver_rate", "bus", d_del / elapsed)
-        one("selfmon.bus.drop_rate", "bus", d_drop / elapsed)
-        one("selfmon.bus.dropped", "bus", float(stats.dropped))
-        one("selfmon.bus.errors", "bus", float(stats.errors))
-        one("selfmon.bus.completeness", "bus",
-            completeness_ratio(stats.delivered, stats.dropped, stats.errors))
-        self._prev_bus = (stats.published, stats.delivered, stats.dropped)
-        depths = stats.queue_depths
-        if depths:
-            out.append(SeriesBatch.sweep(
-                "selfmon.bus.queue_depth", now,
-                list(depths), [float(v) for v in depths.values()],
-            ))
-
-        # -- partitioned transports expose per-partition surfaces ---------
-        # (duck-typed: the flat bus has neither, the tree reports leaves)
-        part_depths = getattr(p.bus, "partition_depths", None)
-        if callable(part_depths):
-            d = part_depths()
-            if d:
-                out.append(SeriesBatch.sweep(
-                    "selfmon.bus.partition_depth", now,
-                    list(d), [float(v) for v in d.values()],
-                ))
-        part_drops = getattr(p.bus, "partition_drops", None)
-        if callable(part_drops):
-            d = part_drops()
-            if d:
-                out.append(SeriesBatch.sweep(
-                    "selfmon.bus.partition_dropped", now,
-                    list(d), [float(v) for v in d.values()],
-                ))
-        leaf_depths = getattr(p.bus, "leaf_depths", None)
-        if callable(leaf_depths):
-            d = leaf_depths()
-            if d:
-                out.append(SeriesBatch.sweep(
-                    "selfmon.bus.partition_depth", now,
-                    list(d), [float(v) for v in d.values()],
-                ))
-
-        # -- collectors ----------------------------------------------------
-        names, p50, p95, mx, sweeps = [], [], [], [], []
-        for c in p.scheduler.collectors:
-            hist = p.scheduler.latency.get(c.name)
-            if hist is None or not len(hist):
+        for i, (metric, section, read, components, kind) in enumerate(
+                _COMPILED):
+            sec = section(v)
+            if sec is None or (components is None and not sec):
                 continue
-            s = hist.summary()
-            names.append(c.name)
-            p50.append(1000.0 * s["p50_s"])
-            p95.append(1000.0 * s["p95_s"])
-            mx.append(1000.0 * s["max_s"])
-            sweeps.append(float(c.sweeps))
-        if names:
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweep_p50_ms", now, names, p50))
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweep_p95_ms", now, names, p95))
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweep_max_ms", now, names, mx))
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweeps", now, names, sweeps))
-
-        # -- stores --------------------------------------------------------
-        tstats = _tsdb_stats(p.tsdb)
-        if tstats is not None:
-            d_samples = tstats.samples - self._prev_tsdb_samples
-            self._prev_tsdb_samples = tstats.samples
-            one("selfmon.store.tsdb_ingest_rate", "tsdb",
-                d_samples / elapsed)
-            one("selfmon.store.tsdb_points", "tsdb", float(tstats.samples))
-            one("selfmon.store.tsdb_bytes", "tsdb",
-                float(tstats.compressed_bytes))
-        per_shard = getattr(p.tsdb, "per_shard_stats", None)
-        if callable(per_shard):
-            shard_stats = per_shard()
-            names = [f"shard-{i}" for i in range(len(shard_stats))]
-            out.append(SeriesBatch.sweep(
-                "selfmon.store.shard_points", now, names,
-                [float(s.samples) for s in shard_stats],
-            ))
-            out.append(SeriesBatch.sweep(
-                "selfmon.store.shard_series", now, names,
-                [float(s.series) for s in shard_stats],
-            ))
-            out.append(SeriesBatch.sweep(
-                "selfmon.store.shard_bytes", now, names,
-                [float(s.compressed_bytes) for s in shard_stats],
-            ))
-        cstats = _cache_stats(p.tsdb)
-        if cstats is not None:
-            one("selfmon.store.cache_hits", "chunk-cache", float(cstats.hits))
-            one("selfmon.store.cache_misses", "chunk-cache",
-                float(cstats.misses))
-            one("selfmon.store.cache_evictions", "chunk-cache",
-                float(cstats.evictions))
-            one("selfmon.store.cache_bytes", "chunk-cache",
-                float(cstats.bytes))
-        disk = getattr(p.tsdb, "disk_stats", None)
-        dstats = disk() if callable(disk) else None
-        if dstats is not None:
-            d_spills = dstats.spills - self._prev_disk[0]
-            d_loads = dstats.loads - self._prev_disk[1]
-            self._prev_disk = (dstats.spills, dstats.loads)
-            one("selfmon.store.disk_bytes", "disk-tier",
-                float(dstats.disk_bytes))
-            one("selfmon.store.disk_hot_bytes", "disk-tier",
-                float(dstats.hot_bytes))
-            one("selfmon.store.disk_spill_rate", "disk-tier",
-                d_spills / elapsed)
-            one("selfmon.store.disk_load_rate", "disk-tier",
-                d_loads / elapsed)
-            one("selfmon.store.disk_map_hits", "disk-tier",
-                float(dstats.map_hits))
-        one("selfmon.store.log_events", "logstore", float(len(p.logs)))
-        one("selfmon.store.sql_bytes", "sqlstore",
-            float(p.sql.footprint_bytes()))
-
-        # -- response plane ------------------------------------------------
-        one("selfmon.sec.rule_fires", "sec", float(len(p.sec.requests)))
-        one("selfmon.sec.events_seen", "sec", float(p.sec.events_seen))
-        one("selfmon.actions.executed", "actions", float(len(p.actions.audit)))
-
-        # -- streaming analysis plane --------------------------------------
-        dets = self._streaming_detectors()
-        if dets:
-            names = [d.name for d in dets]
-            out.append(SeriesBatch.sweep(
-                "selfmon.analysis.batches", now, names,
-                [float(d.batches_observed) for d in dets]))
-            out.append(SeriesBatch.sweep(
-                "selfmon.analysis.detections", now, names,
-                [float(d.detections_total) for d in dets]))
-            timed = [d for d in dets if len(d.latency)]
-            if timed:
-                tnames = [d.name for d in timed]
-                summaries = [d.latency.summary() for d in timed]
-                out.append(SeriesBatch.sweep(
-                    "selfmon.analysis.sweep_p50_ms", now, tnames,
-                    [1000.0 * s["p50_s"] for s in summaries]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.analysis.sweep_p95_ms", now, tnames,
-                    [1000.0 * s["p95_s"] for s in summaries]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.analysis.sweep_max_ms", now, tnames,
-                    [1000.0 * s["max_s"] for s in summaries]))
-
-        # -- supervised lifecycle + delivery ledger ------------------------
-        sup = getattr(p, "supervisor", None)
-        if sup is not None and sup.components:
-            names = sorted(sup.components)
-            out.append(SeriesBatch.sweep(
-                "selfmon.health.state", now, names,
-                [float(sup.components[n].health.code) for n in names]))
-            one("selfmon.health.transitions", "supervisor",
-                float(len(sup.transitions)))
-        report = (p.delivery_report()
-                  if callable(getattr(p, "delivery_report", None)) else None)
-        if report is not None:
-            one("selfmon.ledger.published_points", "ledger",
-                float(report.published))
-            one("selfmon.ledger.stored_points", "ledger",
-                float(report.stored))
-            one("selfmon.ledger.lost_points", "ledger", float(report.lost))
-            one("selfmon.ledger.pending_points", "ledger",
-                float(report.pending))
-            one("selfmon.ledger.inflight_points", "ledger",
-                float(report.in_flight))
-            one("selfmon.ledger.unaccounted_points", "ledger",
-                float(report.unaccounted))
-
-        # -- freshness plane -----------------------------------------------
-        fr = getattr(p, "freshness", None)
-        if fr is not None and fr.batches:
-            e2e = fr.e2e.summary()
-            one("selfmon.freshness.e2e_p50_s", "freshness", e2e["p50_s"])
-            one("selfmon.freshness.e2e_p99_s", "freshness", e2e["p99_s"])
-            one("selfmon.freshness.e2e_max_s", "freshness", e2e["max_s"])
-            one("selfmon.freshness.batches", "freshness",
-                float(fr.batches))
-            hops = fr.hop_summaries()
-            if hops:
-                hnames = list(hops)
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.hop_mean_s", now, hnames,
-                    [hops[h]["mean_s"] for h in hnames]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.hop_p99_s", now, hnames,
-                    [hops[h]["p99_s"] for h in hnames]))
-            slos = fr.slo_status()
-            if slos:
-                snames = [s["name"] for s in slos]
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.slo_burn_rate", now, snames,
-                    [s["burn_rate"] for s in slos]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.slo_breaches", now, snames,
-                    [float(s["breaches"]) for s in slos]))
-
-        # -- execution model (worker topology vitals) ----------------------
-        ex = getattr(p, "executor", None)
-        if ex is not None:
-            snap = ex.snapshot()
-            one("selfmon.exec.busy_fraction", ex.name,
-                float(snap["busy_fraction"]))
-            one("selfmon.exec.barrier_wait_ms", ex.name,
-                float(snap["barrier_wait_ms"]))
-            one("selfmon.exec.handoff_depth", ex.name,
-                float(snap["handoff_depth"]))
-
-        # -- trace exporter loss (ring evictions are accounted) ------------
-        one("selfmon.trace.dropped", "tracer", float(p.tracer.dropped))
-
-        # -- serving plane (front end, result cache, planner) --------------
-        fe = getattr(p, "frontend", None)
-        if fe is not None:
-            sstats = fe.stats()
-            d_queries = sstats.queries - self._prev_serve_queries
-            self._prev_serve_queries = sstats.queries
-            one("selfmon.serve.qps", "frontend", d_queries / elapsed)
-            one("selfmon.serve.queries", "frontend", float(sstats.queries))
-            one("selfmon.serve.rejected", "frontend", float(sstats.rejected))
-            one("selfmon.serve.cache_hit_ratio", "result-cache",
-                sstats.cache_hit_ratio)
-            one("selfmon.serve.cache_bytes", "result-cache",
-                float(sstats.cache.bytes))
-            one("selfmon.serve.pyramid_answers", "planner",
-                float(sstats.pyramid_answers))
-            one("selfmon.serve.raw_answers", "planner",
-                float(sstats.raw_answers))
-
-        # -- pipeline tick time (from the tracer's root spans) -------------
-        agg = p.tracer.snapshot_counts().get("tick")
-        if agg is not None:
-            d_count = agg[0] - self._prev_tick[0]
-            d_total = agg[1] - self._prev_tick[1]
-            self._prev_tick = agg
-            if d_count > 0:
-                one("selfmon.pipeline.tick_ms", "pipeline",
-                    1000.0 * d_total / d_count)
+            if components is None:
+                out.append(sweep(metric, now, list(sec),
+                                 [float(read(r)) for r in sec.values()]))
+                continue
+            value = read(sec)
+            if kind is RATE:
+                prev[i], value = value, (value - prev.get(i, 0)) / elapsed
+            elif kind is TICK_MS:
+                count, total = prev.get(i, (0, 0.0))
+                prev[i] = value
+                if value[0] - count <= 0:
+                    continue
+                value = 1000.0 * (value[1] - total) / (value[0] - count)
+            out.append(SeriesBatch(metric, components, at, [float(value)]))
         self._last_t = now
         self._next_due = now + self.interval_s
         return out

@@ -84,6 +84,9 @@ AnalysisHook = Callable[["MonitoringPipeline", float], Sequence[Detection]]
 class MonitoringPipeline:
     """The assembled end-to-end monitoring system over one machine."""
 
+    #: the SiteConfig this stack was assembled from (set by build_site)
+    site_config = None
+
     def __init__(
         self,
         machine: Machine,

@@ -145,6 +145,12 @@ class TenantGovernor:
         with self._lock:
             return sorted(self._tenants)
 
+    def quotas(self) -> dict[str, TenantQuota]:
+        """The configured per-tenant quotas (unknown tenants get the
+        default)."""
+        with self._lock:
+            return dict(self._quotas)
+
     def tenant_stats(self, tenant: str) -> TenantStats:
         with self._lock:
             state = self._tenants.get(tenant)

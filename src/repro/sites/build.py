@@ -16,6 +16,7 @@ from ..cluster.machine import Machine
 from ..cluster.scheduler import PackedPlacement
 from ..cluster.topology import build_dragonfly, build_torus
 from ..cluster.workload import JobGenerator
+from ..obs.chaos import ChaosTransport
 from ..sources.health import HealthGate
 from .config import SiteConfig
 
@@ -153,36 +154,27 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     dict inequality against :meth:`SiteConfig.capabilities`.
     """
     machine = pipeline.machine
-    config = getattr(pipeline, "site_config", None)
+    config = pipeline.site_config
     topo_name = type(machine.topo).__name__.replace("Topology", "").lower()
     bus = pipeline.bus
-    inner = getattr(bus, "inner", None)   # chaos wrapper is transparent
-    tier = _TRANSPORT_TIER_OF.get(
-        type(inner if inner is not None else bus).__name__,
-        type(bus).__name__,
-    )
+    if isinstance(bus, ChaosTransport):    # the chaos wrapper is transparent
+        bus = bus.inner
+    tier = _TRANSPORT_TIER_OF.get(type(bus).__name__, type(bus).__name__)
     tsdb = pipeline.tsdb
-    levels = getattr(tsdb, "pyramid_levels", None) or ()
-    disk = getattr(tsdb, "disk", None)
-    if disk is None:
-        # sharded store: per-shard tiers under a common root
-        shards0 = getattr(tsdb, "shards", None)
-        if shards0:
-            disk = getattr(shards0[0], "disk", None)
     return {
-        "site": getattr(pipeline, "site", ""),
+        "site": pipeline.site,
         "system": config.system if config is not None else "",
         "topology": topo_name,
         "nodes": len(machine.topo.nodes),
         "gpus": machine.gpus.n if machine.gpus is not None else 0,
         "transport": tier,
-        "shards": int(getattr(tsdb, "n_shards", 1)),
-        "levels": len(levels),
-        "disk": disk is not None,
-        "workers": int(getattr(pipeline.executor, "workers", 1)),
+        "shards": int(tsdb.n_shards),
+        "levels": len(tsdb.pyramid_levels or ()),
+        "disk": tsdb.disk_stats() is not None,
+        "workers": int(pipeline.executor.workers),
         "cadence_s": float(pipeline.scheduler.collectors[0].interval_s)
         if pipeline.scheduler.collectors else 0.0,
         "supervised": pipeline.supervisor is not None,
         "freshness": pipeline.freshness is not None,
-        "tenants": len(getattr(pipeline.frontend.governor, "_quotas", {})),
+        "tenants": len(pipeline.frontend.governor.quotas()),
     }

@@ -427,7 +427,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
                 out[metric] = out.get(metric, 0) + n
         return out
 
-    # hooks used by the hierarchical tier manager -------------------------------
+    # chunk export/import/eviction (property suites drive spills with these) --
 
     def export_series(self, key: MetricKey):
         return self.shards[self.shard_of(key.metric, key.component)].export_series(key)

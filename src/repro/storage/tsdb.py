@@ -844,6 +844,9 @@ class TimeSeriesStore(SeriesQueryMixin):
     #: batch's context with its queryable-at time
     clock = None
 
+    #: one store is one shard (ShardedTimeSeriesStore sets its own count)
+    n_shards = 1
+
     def __init__(self, chunk_size: int = 512,
                  cache: ChunkCache | None = None,
                  pyramid_levels: Sequence[float] | None = None,
@@ -1258,13 +1261,17 @@ class TimeSeriesStore(SeriesQueryMixin):
         """Counters of the decompressed-chunk cache (selfmon surface)."""
         return self.cache.stats()
 
-    # hooks used by the hierarchical tier manager -------------------------------
+    def per_shard_stats(self) -> list[StoreStats]:
+        """Per-shard counters; an unsharded store reports none."""
+        return []
+
+    # chunk export/import/eviction (property suites drive spills with these) --
 
     def export_series(self, key: MetricKey) -> tuple[list[bytes], list[tuple[float, float]]]:
-        """Sealed chunks + spans for archiving (head is sealed first).
+        """Sealed chunks + spans of one series (head is sealed first).
 
         Blobs are materialized as ``bytes`` (spilled chunks are copied
-        out of the mmap) so the archive owns its data outright.
+        out of the mmap) so the caller owns its data outright.
         """
         s = self._series[key]
         if self._seal_heads([s]) and self.disk is not None:
@@ -1330,7 +1337,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         chunks: list[bytes],
         spans: list[tuple[float, float]],
     ) -> None:
-        """Reload archived chunks (hierarchical storage reload path).
+        """Merge exported chunks back into a series.
 
         Summaries and block-index hints are rebuilt from one decompress
         pass per incoming chunk, so the summary-pruned query path covers

@@ -234,6 +234,20 @@ class Transport(abc.ABC):
     def queue_depths(self) -> dict[str, int]:
         """Current backlog per internal queue (self-monitoring surface)."""
 
+    def partition_depths(self) -> dict[str, int]:
+        """Undelivered backlog per partition; unpartitioned transports
+        have none."""
+        return {}
+
+    def partition_drops(self) -> dict[str, int]:
+        """Cumulative drop-oldest evictions per partition."""
+        return {}
+
+    def leaf_depths(self) -> dict[str, int]:
+        """Buffered batches per leaf aggregator; transports without a
+        coalescing tier have none."""
+        return {}
+
     def publish_many(self, topic: str, payloads: Iterable,
                      source: str = "") -> int:
         return sum(self.publish(topic, p, source) for p in payloads)

@@ -140,16 +140,20 @@ class TestHealthReport:
 
 
 class TestIntrospectorWithSwappedStore:
-    def test_tiered_store_is_tolerated(self):
-        from repro.storage.hierarchy import TieredStore
+    def test_tiered_store_is_tolerated(self, tmp_path):
+        # a hot/disk tiered store swapped in after assembly is read
+        # through the same vitals as the store the pipeline built
+        from repro.storage.diskier import DiskTier
         from repro.storage.tsdb import TimeSeriesStore
 
         m = make_machine()
         p = default_pipeline(m, seed=1)
-        p.tsdb = TieredStore(TimeSeriesStore(chunk_size=32))
+        p.tsdb = TimeSeriesStore(chunk_size=32,
+                                 disk=DiskTier(tmp_path, hot_bytes=0))
         p.run(duration_s=300.0, dt=10.0)
         report = p.introspect().report()
         assert report.stores["tsdb_points"] > 0
+        assert report.disk["wal_records"] > 0
         assert p.introspect().render()
 
 

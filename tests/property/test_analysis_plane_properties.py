@@ -2,8 +2,9 @@
 
 The streaming analysis plane consumes whole sweeps through numpy
 kernels over struct-of-arrays state; the original per-sample
-implementations are retained (``Scalar*`` classes, ``*_slow``
-functions) precisely so hypothesis can hold the two equivalent over
+implementations live in ``tests/oracles/analysis.py`` (``Scalar*``
+classes, ``*_slow`` functions) precisely so hypothesis can hold the two
+equivalent over
 adversarial inputs — NaN/±inf values, duplicate components,
 out-of-order times, single-sample batches — the same discipline PR 3
 applied to the storage codec.
@@ -17,22 +18,20 @@ from repro.analysis.anomaly import (
     CusumDetector,
     EwmaDetector,
     ThresholdDetector,
-    _sweep_outliers_slow,
     sweep_outliers,
 )
-from repro.analysis.stats import (
-    _ewma_slow,
-    _rolling_mean_slow,
-    ewma,
-    rolling_mean,
-)
-from repro.analysis.streaming import (
+from repro.analysis.stats import ewma, rolling_mean
+from repro.analysis.streaming import StreamingRateWatch, StreamingStats
+from repro.core.metric import SeriesBatch
+from tests.oracles.analysis import (
     ScalarStreamingRateWatch,
     ScalarStreamingStats,
-    StreamingRateWatch,
-    StreamingStats,
+    cusum_detect_slow,
+    ewma_detect_slow,
+    ewma_slow,
+    rolling_mean_slow,
+    sweep_outliers_slow,
 )
-from repro.core.metric import SeriesBatch
 
 # small component pool => plenty of duplicate components within a batch
 comp_pool = [f"n{i}" for i in range(12)]
@@ -156,7 +155,7 @@ class TestSweepOutliersEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_exact_detection_equality(self, b, z):
         assert same_detections(sweep_outliers(b, z_threshold=z),
-                               _sweep_outliers_slow(b, z_threshold=z))
+                               sweep_outliers_slow(b, z_threshold=z))
 
 
 class TestRateWatchEquivalence:
@@ -208,7 +207,7 @@ class TestEwmaDetectorEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_exact_detection_equality(self, b, alpha, warmup):
         det = EwmaDetector(alpha=alpha, warmup=warmup)
-        assert same_detections(det.detect(b), det._detect_slow(b))
+        assert same_detections(det.detect(b), ewma_detect_slow(det, b))
 
 
 class TestCusumEquivalence:
@@ -227,7 +226,7 @@ class TestCusumEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_detections_match_scalar(self, b, k, h, warmup):
         det = CusumDetector(k=k, h=h, warmup=warmup)
-        fast, slow = det.detect(b), det._detect_slow(b)
+        fast, slow = det.detect(b), cusum_detect_slow(det, b)
         assert len(fast) == len(slow)
         for f, s in zip(fast, slow):
             assert f.time == s.time
@@ -242,7 +241,7 @@ class TestStatsKernels:
     @settings(max_examples=150, deadline=None)
     def test_ewma_matches_scalar(self, v, alpha):
         x = np.array(v)
-        assert np.allclose(ewma(x, alpha), _ewma_slow(x, alpha),
+        assert np.allclose(ewma(x, alpha), ewma_slow(x, alpha),
                            rtol=1e-9, atol=1e-9, equal_nan=True)
 
     @given(v=st.lists(st.one_of(finite_vals, st.just(float("nan"))),
@@ -251,7 +250,7 @@ class TestStatsKernels:
     @settings(max_examples=100, deadline=None)
     def test_ewma_nan_propagation_matches_scalar(self, v, alpha):
         x = np.array(v)
-        a, b = ewma(x, alpha), _ewma_slow(x, alpha)
+        a, b = ewma(x, alpha), ewma_slow(x, alpha)
         assert np.array_equal(np.isnan(a), np.isnan(b))
         m = ~np.isnan(a)
         assert np.allclose(a[m], b[m], rtol=1e-9, atol=1e-9)
@@ -262,5 +261,5 @@ class TestStatsKernels:
     def test_rolling_mean_matches_scalar(self, v, window):
         x = np.array(v)
         assert np.allclose(rolling_mean(x, window),
-                           _rolling_mean_slow(x, window),
+                           rolling_mean_slow(x, window),
                            rtol=1e-12, atol=1e-12, equal_nan=True)

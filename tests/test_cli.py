@@ -89,8 +89,7 @@ class TestCli:
                     "compression ratio"):
             assert row in proc.stdout
         assert "analysis plane" in proc.stdout
-        for row in ("streaming stats", "sweep outliers", "rate watch",
-                    "combined detector speedup"):
+        for row in ("streaming stats", "sweep outliers", "rate watch"):
             assert row in proc.stdout
 
     def test_scale_workers_sweeps_parallel_runtime(self):

@@ -19,7 +19,8 @@ from repro.cluster import (
 )
 from repro.cluster.workload import APP_LIBRARY, Job, JobGenerator
 from repro.pipeline import MonitoringPipeline, default_collectors
-from repro.storage.hierarchy import TieredStore
+from repro.core.metric import MetricKey, SeriesBatch
+from repro.storage.diskier import DiskTier
 from repro.storage.tsdb import TimeSeriesStore
 
 
@@ -47,46 +48,35 @@ def faulty_pipeline(seed=5, hours=1.0):
 
 
 class TestTieredStorageInPipeline:
-    def test_archive_mid_run_queries_transparent(self):
+    def test_archive_mid_run_queries_transparent(self, tmp_path):
         topo = build_dragonfly(groups=2, chassis_per_group=3,
                                blades_per_chassis=4)
         machine = Machine(topo, placement=PackedPlacement(), seed=2)
         job = Job(APP_LIBRARY["qmc"], 16, 0.0, seed=2)
         machine.scheduler.submit(job, 0.0)
+        # a disk-tier store with small chunks, so sealed chunks age out
+        # within the test's short horizon
+        store = TimeSeriesStore(chunk_size=8, disk=DiskTier(tmp_path))
         pipeline = MonitoringPipeline(
             machine,
             collectors=default_collectors(machine, seed=2),
+            tsdb=store,
         )
-        # swap in a tiered store with small chunks (so sealed chunks
-        # age out within the test's short horizon) before data flows
-        tiered = TieredStore(TimeSeriesStore(chunk_size=8))
-        pipeline.tsdb = tiered
 
         pipeline.run(duration_s=1800.0, dt=10.0)
-        moved = tiered.archive_before(900.0)
+        # demote everything sealed before t=900 s to the disk tier
+        moved = sum(store.evict_chunks_before(key, 900.0)
+                    for key in store.keys())
         assert moved > 0
         pipeline.run(duration_s=600.0, dt=10.0)
 
         node = topo.nodes[0]
-        # the long-term query spans archived + live data transparently
-        full = tiered.query("node.power_w", node, 0.0, machine.now)
+        # the long-term query spans demoted + live data transparently
+        full = store.query("node.power_w", node, 0.0, machine.now)
         assert full.times.min() < 900.0 < full.times.max()
-        assert tiered.reloads >= 1
+        assert store.disk_stats().loads >= 1
         # samples are continuous: one per collection interval
         assert len(full) == len(np.unique(full.times))
-
-    def test_cold_footprint_smaller_than_hot(self, tmp_path):
-        tiered = TieredStore(TimeSeriesStore(chunk_size=32),
-                             cold_dir=tmp_path)
-        rng = np.random.default_rng(0)
-        from repro.core.metric import SeriesBatch
-        for t in range(400):
-            tiered.append(SeriesBatch.sweep(
-                "m", t * 60.0, [f"n{i}" for i in range(8)],
-                rng.normal(250, 5, 8)))
-        hot_before = tiered.hot.stats().compressed_bytes
-        tiered.archive_before(300 * 60.0)
-        assert tiered.cold_bytes() < hot_before
 
 
 class TestLogMiningOverPipeline:
@@ -131,18 +121,16 @@ class TestLongTermTrend:
         """Trend analysis across a reloaded archive — the 'revisiting
         historical data in conjunction with current data' requirement."""
         from repro.analysis.trend import fit_trend
-        from repro.core.metric import SeriesBatch
 
-        tiered = TieredStore(TimeSeriesStore(chunk_size=8),
-                             cold_dir=tmp_path)
+        tiered = TimeSeriesStore(chunk_size=8, disk=DiskTier(tmp_path))
         # a year of weekly samples of declining GPU health
         for week in range(52):
             t = week * 7 * 86400.0
             health = 1.0 - 0.01 * week
             tiered.append(SeriesBatch.sweep("gpu.health", t,
                                             ["n0g0"], [health]))
-        tiered.archive_before(26 * 7 * 86400.0)
-        assert tiered.cold_spans("gpu.health", "n0g0")
+        assert tiered.evict_chunks_before(MetricKey("gpu.health", "n0g0"),
+                                          26 * 7 * 86400.0) > 0
         series = tiered.query("gpu.health", "n0g0", 0.0, np.inf)
         assert len(series) == 52
         fit = fit_trend(series)

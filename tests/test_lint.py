@@ -467,6 +467,69 @@ class TestFdLifetimeGate:
         assert "check_fd_lifetime_storage" in src
 
 
+class TestDuckProbeGate:
+    """obs/ and sites/ read component surfaces directly, not by probing."""
+
+    def test_obs_and_sites_have_no_probes(self):
+        problems = check_mod.check_duck_probes_repro()
+        assert not problems, "\n".join(problems)
+
+    def test_flags_getattr_with_default(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text("def f(x):\n    return getattr(x, 'stats', None)\n")
+        problems = check_mod.check_duck_probes(f)
+        assert len(problems) == 1
+        assert "getattr() with a default" in problems[0]
+        assert "probe: allowed" in problems[0]
+
+    def test_flags_hasattr(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text("def f(x):\n    return hasattr(x, 'shards')\n")
+        problems = check_mod.check_duck_probes(f)
+        assert len(problems) == 1
+        assert "hasattr()" in problems[0]
+
+    def test_flags_callable_getattr_once(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "def f(x):\n"
+            "    return callable(getattr(x, 'disk_stats', None))\n"
+        )
+        problems = check_mod.check_duck_probes(f)
+        assert len(problems) == 1
+        assert "callable(getattr())" in problems[0]
+
+    def test_marker_suppresses(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "def f(x):\n"
+            "    return hasattr(x, 'y')  # probe: allowed plugin surface\n"
+        )
+        assert check_mod.check_duck_probes(f) == []
+
+    def test_direct_reads_pass(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "def f(x, name):\n"
+            "    a = x.stats()\n"
+            "    b = getattr(x, name)\n"      # no default: fails loudly
+            "    return callable(a), b\n"
+        )
+        assert check_mod.check_duck_probes(f) == []
+
+    def test_syntax_errors_left_to_the_syntax_check(self, tmp_path):
+        f = tmp_path / "bad.py"
+        f.write_text("def broken(:\n")
+        assert check_mod.check_duck_probes(f) == []
+
+    def test_gate_is_wired_into_lint(self):
+        """The gate must actually run as part of ``scripts/check.py``."""
+        import inspect
+
+        src = inspect.getsource(check_mod.lint)
+        assert "check_duck_probes_repro" in src
+
+
 class TestConfigDriftGate:
     """Every pipeline-assembly knob must map to a SiteConfig field."""
 
