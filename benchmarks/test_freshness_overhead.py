@@ -21,6 +21,7 @@ import time
 from repro.cluster import JobGenerator, Machine, PackedPlacement, build_dragonfly
 from repro.obs.trace import Tracer
 from repro.pipeline import MonitoringPipeline, default_collectors
+from repro.sites import SiteConfig
 
 N_STEPS = 240
 TRIALS = 15
@@ -47,10 +48,9 @@ def build_pipeline(traced: bool):
     machine = build_machine()
     return MonitoringPipeline(
         machine,
+        SiteConfig(selfmon_interval_s=None, freshness=traced),
         collectors=default_collectors(machine),
         tracer=Tracer(enabled=False),
-        selfmon_interval_s=None,
-        freshness=traced,
     )
 
 

@@ -13,6 +13,7 @@ import time
 from repro.cluster import JobGenerator, Machine, PackedPlacement, build_dragonfly
 from repro.obs.trace import Tracer
 from repro.pipeline import MonitoringPipeline, default_collectors
+from repro.sites import SiteConfig
 
 N_STEPS = 120
 TRIALS = 5
@@ -37,10 +38,9 @@ def build_pipeline(supervised: bool):
     # supervision itself rather than re-measuring the observability tax
     return MonitoringPipeline(
         build_machine(),
+        SiteConfig(selfmon_interval_s=None, supervision=supervised),
         collectors=default_collectors(build_machine()),
         tracer=Tracer(enabled=False),
-        selfmon_interval_s=None,
-        supervision=supervised,
     )
 
 

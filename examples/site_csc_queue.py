@@ -19,7 +19,6 @@ Run:  python examples/site_csc_queue.py
 """
 
 
-from repro import default_pipeline
 from repro.analysis.queueing import characterize, estimate_wait
 from repro.cluster import (
     JobGenerator,
@@ -28,6 +27,7 @@ from repro.cluster import (
     QueueBlockage,
     build_dragonfly,
 )
+from repro.sites import SiteConfig, build_site
 from repro.viz.render import ascii_chart
 
 BLOCK_START, BLOCK_END = 3600.0, 6000.0
@@ -47,7 +47,7 @@ def main() -> None:
         QueueBlockage(start=BLOCK_START, duration=BLOCK_END - BLOCK_START)
     )
 
-    pipeline = default_pipeline(machine, seed=3)
+    pipeline = build_site(SiteConfig(seed=3), machine)
     pipeline.run(hours=2.5, dt=10.0)
 
     backlog = pipeline.tsdb.query("queue.backlog_nodeh", "scheduler")

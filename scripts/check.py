@@ -55,11 +55,11 @@ exception, count/log the failure, or mark the line with
 
 Finally both paths gate on **config drift** between the pipeline
 assembly surface and the declarative site layer: every parameter of
-``default_pipeline`` and ``MonitoringPipeline.__init__`` must map to a
-``SiteConfig`` field (directly, via the alias table, or as exempted
-instance plumbing), so a knob can never again exist only as code the
-way the paper's hand-maintained Table I drifted from the deployments
-it described.
+``MonitoringPipeline.__init__`` other than ``machine`` and ``config``
+must be a live object (a transport, store or executor instance, ...),
+so every declarative knob stays a ``SiteConfig`` field and can never
+again exist only as code the way the paper's hand-maintained Table I
+drifted from the deployments it described.
 """
 
 from __future__ import annotations
@@ -556,10 +556,11 @@ def check_fd_lifetime_storage() -> list[str]:
     return problems
 
 
-#: packages that read other components' surfaces: they must call what
-#: the component declares, not probe for it (a missing surface gets a
-#: default method on the class that lacks it)
-_DUCK_PROBE_DIRS = ("src/repro/obs", "src/repro/sites")
+#: packages and modules that read other components' surfaces: they
+#: must call what the component declares, not probe for it (a missing
+#: surface gets a default method on the class that lacks it)
+_DUCK_PROBE_PATHS = ("src/repro/obs", "src/repro/sites",
+                     "src/repro/pipeline.py")
 _DUCK_PROBE_MARKER = "# probe: allowed"
 
 
@@ -616,13 +617,13 @@ def check_duck_probes(path: Path) -> list[str]:
 
 
 def check_duck_probes_repro() -> list[str]:
-    """Run :func:`check_duck_probes` over the surface-reading packages."""
+    """Run :func:`check_duck_probes` over the surface-reading code."""
     problems: list[str] = []
-    for rel in _DUCK_PROBE_DIRS:
+    for rel in _DUCK_PROBE_PATHS:
         root = REPO / rel
-        if root.is_dir():
-            for path in sorted(root.rglob("*.py")):
-                problems.extend(check_duck_probes(path))
+        paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
+        for path in paths:
+            problems.extend(check_duck_probes(path))
     return problems
 
 
@@ -674,101 +675,54 @@ def check_selfmon_registry() -> list[str]:
     return problems
 
 
-#: assembly params that are instance plumbing, not declarative site
-#: shape — they reach build_site() as explicit overrides, so SiteConfig
-#: deliberately has no field for them
-_CONFIG_DRIFT_EXEMPT = frozenset({
-    "self", "machine", "collectors", "registry", "sec", "tracer",
-    "tsdb", "stages", "freshness_slos", "kw",
+#: MonitoringPipeline.__init__ keywords that take live objects — a
+#: transport, store, executor or engine instance, not a declared value
+_CONFIG_LIVE_OBJECTS = frozenset({
+    "collectors", "transport", "tsdb", "executor", "registry", "sec",
+    "tracer", "stages", "freshness_slos",
 })
 
-#: assembly knob -> the SiteConfig field that represents it
-_CONFIG_DRIFT_ALIASES = {
-    "serve_quotas": "quotas",
-    "site": "name",
-    "executor": "workers",
-}
 
+def check_config_drift(pipeline_path: Path | None = None) -> list[str]:
+    """No declarative knob may live outside SiteConfig.
 
-def _function_params(fn: ast.FunctionDef) -> list[tuple[str, int]]:
-    """(name, lineno) for every parameter of ``fn``, *args/**kw included."""
-    a = fn.args
-    params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
-    out = [(p.arg, p.lineno) for p in params]
-    if a.vararg is not None:
-        out.append((a.vararg.arg, a.vararg.lineno))
-    if a.kwarg is not None:
-        out.append((a.kwarg.arg, a.kwarg.lineno))
-    return out
-
-
-def check_config_drift(
-    pipeline_path: Path | None = None,
-    config_path: Path | None = None,
-) -> list[str]:
-    """Every pipeline-assembly knob must be representable in SiteConfig.
-
-    The declarative site layer only stays declarative if it keeps up
-    with the assembly surface: a knob added to ``default_pipeline`` or
-    ``MonitoringPipeline.__init__`` without a matching
-    :class:`~repro.sites.config.SiteConfig` field is configuration that
-    exists in code but cannot be written down, exactly the drift the
-    paper's hand-maintained Table I suffered.  The gate AST-compares
-    the parameter names of both assembly entry points against the
-    dataclass's field names; instance-plumbing params (live objects,
-    not shape) are exempt, and renamed knobs map through the alias
-    table.
+    ``MonitoringPipeline.__init__`` reads every declared value (cadences,
+    tiers, layout, workers, quotas, name) from its ``config``; its other
+    parameters are live objects that replace what the config would
+    build.  A new declarative parameter there (say ``tick_s=``) is
+    configuration that exists in code but cannot be written down in a
+    site's config, exactly the drift the paper's hand-maintained
+    Table I suffered.  The gate AST-checks that every parameter other
+    than ``self``/``machine``/``config`` is in the live-object list.
     """
     pipeline_path = pipeline_path or REPO / "src" / "repro" / "pipeline.py"
-    config_path = config_path or (
-        REPO / "src" / "repro" / "sites" / "config.py"
-    )
-    if not (pipeline_path.is_file() and config_path.is_file()):
+    if not pipeline_path.is_file():
         return []
     try:
-        ptree = ast.parse(pipeline_path.read_text(),
-                          filename=str(pipeline_path))
-        ctree = ast.parse(config_path.read_text(),
-                          filename=str(config_path))
+        tree = ast.parse(pipeline_path.read_text(),
+                         filename=str(pipeline_path))
     except SyntaxError:
         return []                    # surfaced by check_file already
-    fields: set[str] = set()
-    for node in ast.walk(ctree):
-        if isinstance(node, ast.ClassDef) and node.name == "SiteConfig":
+    init = None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "MonitoringPipeline":
             for stmt in node.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    fields.add(stmt.target.id)
-    if not fields:
-        return [f"{config_path}: config-drift gate found no SiteConfig "
-                f"fields to compare against"]
-    knobs: list[tuple[str, str, int]] = []
-    for node in ast.walk(ptree):
-        if (isinstance(node, ast.FunctionDef)
-                and node.name == "default_pipeline"):
-            knobs.extend(("default_pipeline", n, ln)
-                         for n, ln in _function_params(node))
-        elif (isinstance(node, ast.ClassDef)
-                and node.name == "MonitoringPipeline"):
-            for stmt in node.body:
-                if (isinstance(stmt, ast.FunctionDef)
-                        and stmt.name == "__init__"):
-                    knobs.extend(("MonitoringPipeline.__init__", n, ln)
-                                 for n, ln in _function_params(stmt))
-    problems: list[str] = []
-    for owner, name, lineno in knobs:
-        if name in _CONFIG_DRIFT_EXEMPT:
-            continue
-        target = _CONFIG_DRIFT_ALIASES.get(name, name)
-        if target not in fields:
-            problems.append(
-                f"{pipeline_path}:{lineno}: {owner} knob {name!r} is not "
-                f"representable in SiteConfig (no field {target!r}); add "
-                f"the field to repro/sites/config.py, alias it in "
-                f"_CONFIG_DRIFT_ALIASES, or exempt instance plumbing in "
-                f"_CONFIG_DRIFT_EXEMPT"
-            )
-    return problems
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                    init = stmt
+    if init is None:
+        return [f"{pipeline_path}: config-drift gate found no "
+                f"MonitoringPipeline.__init__ to check"]
+    a = init.args
+    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+    return [
+        f"{pipeline_path}:{p.lineno}: MonitoringPipeline.__init__ "
+        f"parameter {p.arg!r} is not a live object; declare it as a "
+        f"SiteConfig field and read it from config (or, for a live "
+        f"object, list it in _CONFIG_LIVE_OBJECTS)"
+        for p in params
+        if p is not None and p.arg not in {"self", "machine", "config"}
+        and p.arg not in _CONFIG_LIVE_OBJECTS
+    ]
 
 
 #: packages held to the no-per-sample-loop rule: the streaming analysis

@@ -9,14 +9,15 @@ with realistic failure modes.
 
 Quick tour::
 
-    from repro.cluster import Machine, build_dragonfly, JobGenerator
-    from repro.pipeline import MonitoringPipeline, default_pipeline
+    from repro.cluster import JobGenerator, Machine, build_dragonfly
+    from repro.sites import SiteConfig, build_site
 
-    machine = Machine(build_dragonfly(groups=4),
+    machine = Machine(build_dragonfly(groups=2, chassis_per_group=3,
+                                      blades_per_chassis=4),
                       job_generator=JobGenerator(seed=1))
-    pipeline = default_pipeline(machine)
-    pipeline.run(hours=2)
-    print(pipeline.alerts())
+    pipeline = build_site(SiteConfig(seed=1), machine)
+    pipeline.run(hours=1)
+    print(pipeline.active_alerts())
 
 Subpackages:
 
@@ -29,11 +30,13 @@ Subpackages:
   partitioned bus, LDMS-style coalescing aggregator tree, syslog
   forwarding
 - :mod:`repro.storage`   — time-series store (single or sharded),
-  relational store, log store, hierarchical tiering, job index
+  out-of-core disk tier, relational store, log store, job index
 - :mod:`repro.analysis`  — anomaly/trend/congestion/power-signature/
   aggressor-victim/queue/log analyses
 - :mod:`repro.response`  — SEC-style event correlation, alerting, actions
 - :mod:`repro.viz`       — aggregation, drill-down dashboards, figures
+- :mod:`repro.sites`     — declarative site configs, the stack builder,
+  the ten paper-site presets and their federation
 - :mod:`repro.obs`       — self-observability: trace spans, ``selfmon.*``
   meta-metrics, pipeline introspection ("monitor the monitoring")
 """
@@ -41,7 +44,7 @@ Subpackages:
 __version__ = "1.0.0"
 
 from . import analysis, cluster, core, obs, response, sources, storage, transport, viz
-from .pipeline import MonitoringPipeline, default_collectors, default_pipeline
+from .pipeline import MonitoringPipeline, default_collectors
 
 __all__ = [
     "analysis",
@@ -55,6 +58,5 @@ __all__ = [
     "viz",
     "MonitoringPipeline",
     "default_collectors",
-    "default_pipeline",
     "__version__",
 ]

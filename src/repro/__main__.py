@@ -105,12 +105,12 @@ def _build_machine(seed: int):
 
 
 def cmd_demo(args) -> int:
-    from .pipeline import default_pipeline
+    from .sites import SiteConfig, build_site
 
     machine = _build_machine(args.seed)
     print(f"simulating {len(machine.topo.nodes)} nodes for "
           f"{args.hours:g} h with a hung node and a slow OST...")
-    pipeline = default_pipeline(machine, seed=args.seed)
+    pipeline = build_site(SiteConfig(seed=args.seed), machine)
     pipeline.run(hours=args.hours, dt=10.0)
     print("\nalerts:")
     for a in pipeline.alerts.alerts:
@@ -126,11 +126,11 @@ def cmd_demo(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from .pipeline import default_pipeline
+    from .sites import SiteConfig, build_site
     from .viz.figures import figure3_power, figure4_drilldown
 
     machine = _build_machine(args.seed)
-    pipeline = default_pipeline(machine, seed=args.seed)
+    pipeline = build_site(SiteConfig(seed=args.seed), machine)
     pipeline.run(hours=args.hours, dt=10.0)
     fig3 = figure3_power(pipeline.tsdb, 0.0, machine.now)
     print(fig3.render(height=7))
@@ -149,11 +149,11 @@ def cmd_registry(args) -> int:
 
 
 def cmd_dashboard(args) -> int:
-    from .pipeline import default_pipeline
+    from .sites import SiteConfig, build_site
     from .viz.dashspec import operations_dashboard
 
     machine = _build_machine(args.seed)
-    pipeline = default_pipeline(machine, seed=args.seed)
+    pipeline = build_site(SiteConfig(seed=args.seed), machine)
     pipeline.run(hours=args.hours, dt=10.0)
     spec = operations_dashboard()
     print("shareable spec (JSON):")
@@ -169,14 +169,14 @@ def cmd_obs(args) -> int:
         StreamingRateWatch,
         StreamingStats,
     )
-    from .pipeline import default_pipeline
+    from .sites import SiteConfig, build_site
 
     as_json = getattr(args, "json", False)
     machine = _build_machine(args.seed)
     if not as_json:
         print(f"simulating {len(machine.topo.nodes)} nodes for "
               f"{args.hours:g} h, monitoring the monitoring...")
-    pipeline = default_pipeline(machine, seed=args.seed)
+    pipeline = build_site(SiteConfig(seed=args.seed), machine)
     # streaming detectors on the hot sweeps, so the analysis plane has
     # something to self-report (selfmon.analysis.* gauges below)
     pipeline.add_streaming(StreamingStats())
@@ -222,7 +222,7 @@ def cmd_obs(args) -> int:
 def cmd_scale(args) -> int:
     import time as _time
 
-    from .pipeline import default_pipeline
+    from .sites import SiteConfig, build_site
 
     specs = [
         ("flat", dict(transport="flat")),
@@ -234,7 +234,7 @@ def cmd_scale(args) -> int:
     rows = []
     for label, kw in specs:
         machine = _build_machine(args.seed)
-        pipeline = default_pipeline(machine, seed=args.seed, **kw)
+        pipeline = build_site(SiteConfig(seed=args.seed, **kw), machine)
         t0 = _time.perf_counter()
         pipeline.run(hours=args.hours, dt=10.0)
         pipeline.bus.flush()     # deliver anything still windowed
@@ -432,19 +432,17 @@ def cmd_chaos(args) -> int:
         TransportDropStorm,
         TransportStall,
     )
-    from .pipeline import default_pipeline
+    from .sites import SiteConfig, build_site
     from .transport.partitioned import PartitionedBus
 
     machine = _build_machine(args.seed)
     print(f"simulating {len(machine.topo.nodes)} nodes for "
           f"{args.hours:g} h while injecting faults into the "
           f"monitoring plane itself...")
-    pipeline = default_pipeline(
+    pipeline = build_site(
+        SiteConfig(seed=args.seed, shards=4, collector_budget_s=0.01),
         machine,
-        seed=args.seed,
-        transport=ChaosTransport(PartitionedBus()),
-        shards=4,
-        collector_budget_s=0.01,
+        overrides={"transport": ChaosTransport(PartitionedBus())},
     )
     inj = MonitorFaultInjector([
         CollectorRaise(start=600.0, duration=900.0, target="sedc"),
@@ -528,8 +526,7 @@ def cmd_store(args) -> int:
     import tempfile
 
     from .obs.chaos import MonitorFaultInjector, StoreCrash
-    from .pipeline import default_pipeline
-
+    from .sites import SiteConfig, build_site
     from .storage.rollup import DEFAULT_LEVELS
     from .storage.sharded import ShardedTimeSeriesStore
 
@@ -548,7 +545,8 @@ def cmd_store(args) -> int:
         disk_dir=store_dir, hot_bytes=hot_budget,
         sync_every_bytes=64 << 10,
     )
-    pipeline = default_pipeline(machine, seed=args.seed, tsdb=tsdb)
+    pipeline = build_site(SiteConfig(seed=args.seed), machine,
+                          overrides={"tsdb": tsdb})
 
     dt = 10.0
     total_s = args.hours * 3600.0
@@ -633,7 +631,7 @@ def cmd_store(args) -> int:
 
 
 def cmd_slo(args) -> int:
-    from .pipeline import default_pipeline
+    from .sites import SiteConfig, build_site
     from .transport.base import make_transport
 
     # a 120 s aggregation window makes the tree's merge latency visible
@@ -648,8 +646,8 @@ def cmd_slo(args) -> int:
     all_exact = True
     for label, build in specs:
         machine = _build_machine(args.seed)
-        pipeline = default_pipeline(machine, seed=args.seed,
-                                    transport=build())
+        pipeline = build_site(SiteConfig(seed=args.seed), machine,
+                              overrides={"transport": build()})
         pipeline.run(hours=args.hours, dt=10.0)
         pipeline.bus.flush()     # deliver anything still windowed
         fr = pipeline.freshness
@@ -682,21 +680,21 @@ def cmd_slo(args) -> int:
 def cmd_serve(args) -> int:
     import numpy as np
 
-    from .pipeline import default_pipeline
     from .serve.quota import TenantQuota
+    from .sites import SiteConfig, build_site
 
     machine = _build_machine(args.seed)
     print(f"ingesting {args.hours:g} h across 4 shards, then serving "
           f"dashboard queries through the multi-tenant front end...")
-    pipeline = default_pipeline(
-        machine, seed=args.seed, shards=4,
-        serve_quotas={
+    pipeline = build_site(SiteConfig(
+        seed=args.seed, shards=4,
+        quotas={
             "ops": TenantQuota(qps=1000.0),
             # the sim clock is frozen between ticks, so the guest's
             # bucket never refills mid-burst: burst admissions, then shed
             "guest": TenantQuota(qps=1.0, burst=8.0),
         },
-    )
+    ), machine)
     pipeline.run(hours=args.hours, dt=10.0)
     fe = pipeline.frontend
     t1 = machine.now

@@ -81,10 +81,11 @@ class ChaosTransport(Transport):
     def ledger(self, value) -> None:
         self.inner.ledger = value
 
-    # same forwarding for the freshness clock: Transport declares
-    # `clock = None` as a class attribute, so without this property the
-    # pipeline's assignment would land on the wrapper (shadowing
-    # __getattr__) and the inner hop edges would never see it
+    # same forwarding for the freshness clock and the parallel
+    # executor: Transport declares both as class attributes, so without
+    # these properties the pipeline's assignment would land on the
+    # wrapper (shadowing __getattr__) and the inner transport would
+    # never see it
     @property
     def clock(self):
         return self.inner.clock
@@ -92,6 +93,14 @@ class ChaosTransport(Transport):
     @clock.setter
     def clock(self, value) -> None:
         self.inner.clock = value
+
+    @property
+    def executor(self):
+        return self.inner.executor
+
+    @executor.setter
+    def executor(self, value) -> None:
+        self.inner.executor = value
 
     def subscribe(
         self,
@@ -348,8 +357,8 @@ def crash_and_recover(
     :class:`~repro.storage.diskier.RecoveryReport`.
 
     Requires the pipeline's store to have been built with a disk tier
-    (``default_pipeline(store_dir=...)``); raises :class:`TypeError`
-    otherwise.
+    (a :class:`~repro.sites.config.SiteConfig` with ``store_dir``);
+    raises :class:`TypeError` otherwise.
     """
     from pathlib import Path
 
@@ -387,12 +396,8 @@ def crash_and_recover(
 
     # Rewire the pipeline onto the recovered store, mirroring the wiring
     # in MonitoringPipeline.__init__.
-    try:
-        new.clock = old.clock
-    except AttributeError:
-        pass
-    if isinstance(new, ShardedTimeSeriesStore):
-        new.ledger = p.ledger
+    new.clock = old.clock
+    new.ledger = p.ledger
     p.tsdb = new
     fe = p.frontend
     fe.store = new

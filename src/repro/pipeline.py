@@ -19,9 +19,12 @@ One :class:`MonitoringPipeline` wires together every layer against a
 
 The tick loop itself is a sequence of :class:`~repro.stages.Stage`
 objects iterated under trace spans — each plane of the data path is a
-swappable unit, and ``default_pipeline`` assembles the stack the way a
-site would deploy it with ``transport=``/``tsdb=``/``shards=`` knobs
-(Table I: "Extensibility and modularity are fundamental").
+swappable unit.  Every deployment knob (transport tier, store layout,
+workers, cadences, quotas) is read from one
+:class:`~repro.sites.config.SiteConfig`, so changing a data path is a
+config edit (Table I: "Extensibility and modularity are fundamental").
+:func:`~repro.sites.build.build_site` adds the machine, the default
+collectors and the health gate around the same constructor.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .response.policy import default_sec_engine
 from .response.sec import ActionRequest, SecEngine
 from .runtime.executor import ExecutionModel, make_executor
 from .serve.frontend import QueryFrontend
-from .serve.quota import TenantQuota
+from .sites.config import SiteConfig
 from .sources.base import CollectionScheduler, Collector
 from .sources.benchmarks import BenchmarkSuite
 from .sources.counters import (
@@ -56,7 +59,7 @@ from .sources.counters import (
 from .sources.environment import EnvironmentCollector
 from .sources.erd import DelugeTap, EventRouter
 from .sources.fsprobes import FsProbeCollector, OstCounterCollector
-from .sources.health import NodeHealthSuite
+from .sources.health import HealthGate, NodeHealthSuite
 from .sources.powermon import PowerCollector
 from .sources.queuestats import QueueStatsCollector
 from .sources.sedc import SedcCollector
@@ -67,73 +70,106 @@ from .stages import (
     default_stages,
     schedule_stages,
 )
+from .storage.diskier import DiskTier
 from .storage.jobstore import JobIndex
 from .storage.logstore import LogStore
-from .storage.rollup import DEFAULT_LEVELS
+from .storage.sharded import ShardedTimeSeriesStore
 from .storage.sqlstore import SqlStore
 from .storage.tsdb import TimeSeriesStore
-from .transport.base import Transport
-from .transport.bus import MessageBus
+from .transport.base import Transport, make_transport
 from .viz.dashboard import Dashboard
 
-__all__ = ["MonitoringPipeline", "default_pipeline", "default_collectors"]
+__all__ = ["MonitoringPipeline", "default_collectors"]
 
 AnalysisHook = Callable[["MonitoringPipeline", float], Sequence[Detection]]
 
 
-class MonitoringPipeline:
-    """The assembled end-to-end monitoring system over one machine."""
+def _build_store(config: SiteConfig):
+    """The numeric-store tier ``config`` declares: K shards or one
+    store, each with the out-of-core disk tier when ``store_dir`` is
+    set."""
+    if config.shards is not None:
+        return ShardedTimeSeriesStore(
+            shards=config.shards,
+            chunk_size=config.chunk_size,
+            pyramid_levels=config.pyramid_levels,
+            disk_dir=config.store_dir,
+            hot_bytes=config.hot_bytes,
+        )
+    disk = None
+    if config.store_dir is not None:
+        disk = DiskTier(config.store_dir, hot_bytes=config.hot_bytes)
+    return TimeSeriesStore(
+        chunk_size=config.chunk_size,
+        pyramid_levels=config.pyramid_levels,
+        disk=disk,
+    )
 
-    #: the SiteConfig this stack was assembled from (set by build_site)
-    site_config = None
+
+class MonitoringPipeline:
+    """The assembled end-to-end monitoring system over one machine.
+
+    Every declarative knob (loop cadences, transport tier, store
+    layout, worker count, tenant quotas, site name) is read from
+    ``config``.  The keyword arguments are live objects; each one
+    replaces the part the config would otherwise build.
+    """
+
+    #: build_site installs the CSCS health gate here when the config
+    #: asks for one
+    health_gate: HealthGate | None = None
 
     def __init__(
         self,
         machine: Machine,
+        config: SiteConfig = SiteConfig(),
+        *,
         collectors: Sequence[Collector] = (),
-        registry: MetricRegistry | None = None,
-        sec: SecEngine | None = None,
-        tick_s: float = 10.0,
-        renotify_s: float = 3600.0,
-        tracer: Tracer | None = None,
-        selfmon_interval_s: float | None = 60.0,
         transport: Transport | None = None,
         tsdb=None,
-        stages: Sequence[Stage] | None = None,
-        supervision: bool = True,
-        collector_budget_s: float | None = None,
-        freshness: bool = True,
-        freshness_slos: Sequence[FreshnessSLO] | None = None,
         executor: "ExecutionModel | int | str | None" = None,
-        serve_quotas: "dict[str, TenantQuota] | None" = None,
-        site: str = "",
+        registry: MetricRegistry | None = None,
+        sec: SecEngine | None = None,
+        tracer: Tracer | None = None,
+        stages: Sequence[Stage] | None = None,
+        freshness_slos: Sequence[FreshnessSLO] | None = None,
     ) -> None:
+        if tsdb is not None:
+            if config.store_dir is not None:
+                raise ValueError("pass either tsdb= or store_dir=, not both")
+            if config.shards is not None:
+                raise ValueError("pass either tsdb= or shards=, not both")
+        if executor is not None and config.workers is not None:
+            raise ValueError("pass either workers= or executor=, not both")
         self.machine = machine
+        self.site_config = config
         # federation identity: non-empty when this stack is one site of
         # several in a process; namespaces the selfmon publisher and the
         # merged supervisor/ledger views (per-site surfaces stay local,
         # so a site federated with others reports identically to solo)
-        self.site = site
+        self.site = config.name
         self.registry = registry or default_registry()
-        self.tick_s = float(tick_s)
+        self.tick_s = float(config.tick_s)
 
         # execution model: how the data-parallel planes run each tick.
         # Serial (the default) is today's behaviour, bit-identical;
         # a parallel executor fans collection / shard ingest / aggtree
         # coalescing across workers between tick barriers.
-        self.executor: ExecutionModel = make_executor(executor)
+        self.executor: ExecutionModel = make_executor(
+            executor if executor is not None else config.workers
+        )
         # envelope staging buffer used by parallel_sweep: non-None only
         # while a parallel metric-plane sweep is routing store appends
         # through the shard-concurrent ingest path
         self._staged_ingest: list | None = None
 
-        # transport and numeric store are pluggable tiers; the defaults
-        # are the flat bus + single store every existing example assumes
-        self.bus: Transport = transport if transport is not None else MessageBus()
-        self.tsdb = (
-            tsdb if tsdb is not None
-            else TimeSeriesStore(pyramid_levels=DEFAULT_LEVELS)
+        # transport and numeric store are pluggable tiers, built from
+        # the config unless a live one is passed in
+        self.bus: Transport = (
+            transport if transport is not None
+            else make_transport(config.transport)
         )
+        self.tsdb = tsdb if tsdb is not None else _build_store(config)
         if self.executor.parallel:
             # transports that fan out internal work (aggtree leaf
             # coalescing) pick the executor up from this attribute
@@ -147,15 +183,14 @@ class MonitoringPipeline:
         # DeliveryLedger (attached to the transport's publish edge and
         # the store's redo path)
         self.supervisor: Supervisor | None = (
-            Supervisor() if supervision else None
+            Supervisor() if config.supervision else None
         )
         self.ledger: DeliveryLedger | None = (
-            DeliveryLedger() if supervision else None
+            DeliveryLedger() if config.supervision else None
         )
         if self.ledger is not None:
             self.bus.ledger = self.ledger
-            if hasattr(self.tsdb, "redo_pending_points"):
-                self.tsdb.ledger = self.ledger
+            self.tsdb.ledger = self.ledger
 
         # self-observability plane: span tracing + meta-metrics
         # identity check: an empty tracer is falsy (len == ring size),
@@ -163,31 +198,33 @@ class MonitoringPipeline:
         self.tracer = tracer if tracer is not None else Tracer()
         self.scheduler = CollectionScheduler(
             self.bus, self.registry, tracer=self.tracer,
-            supervisor=self.supervisor, budget_s=collector_budget_s,
+            supervisor=self.supervisor, budget_s=config.collector_budget_s,
         )
         for c in collectors:
             self.scheduler.add(c)
+
+        # the freshness stamps and the serving governor read the sim
+        # clock's slot directly: the stamp clock fires three times per
+        # traced batch, so it skips two property descriptors
+        # (Machine.now -> SimClock.now)
+        try:
+            sim = self.machine.clock
+            sim._now
+            clock = lambda c=sim: c._now   # noqa: E731
+        except AttributeError:             # custom machine/clock
+            clock = lambda: self.machine.now   # noqa: E731
 
         # freshness plane: collectors open a trace context per batch,
         # transports and the store stamp their hop edges against the
         # simulated clock, _on_metric folds the finished journey
         self.ticks = 0
         self.freshness: FreshnessTracker | None = None
-        if freshness:
+        if config.freshness:
             slos = (list(freshness_slos) if freshness_slos is not None
                     else default_slos(self.tick_s))
             self.freshness = FreshnessTracker(
                 slos=slos, tier=type(self.bus).__name__
             )
-            # the stamp clock fires three times per traced batch, so it
-            # reads the sim clock's slot directly instead of going
-            # through two property descriptors (Machine.now -> SimClock.now)
-            try:
-                sim = self.machine.clock
-                sim._now
-                clock = lambda c=sim: c._now   # noqa: E731
-            except AttributeError:             # custom machine/clock
-                clock = lambda: self.machine.now   # noqa: E731
             self.bus.clock = clock
             try:
                 self.tsdb.clock = clock
@@ -199,20 +236,14 @@ class MonitoringPipeline:
         # consumer goes through (pipeline.dashboard() reads via this);
         # the governor runs on the simulated clock so quota behavior is
         # deterministic in scenarios and tests
-        try:
-            sim = self.machine.clock
-            sim._now
-            serve_clock = lambda c=sim: c._now   # noqa: E731
-        except AttributeError:                   # custom machine/clock
-            serve_clock = lambda: self.machine.now   # noqa: E731
-        self.frontend = QueryFrontend(self.tsdb, quotas=serve_quotas,
-                                      clock=serve_clock)
+        self.frontend = QueryFrontend(self.tsdb, quotas=config.quotas,
+                                      clock=clock)
 
         self.router = EventRouter()
         self.tap = self.router.attach(DelugeTap())
 
         self.sec = sec or default_sec_engine()
-        self.alerts = AlertManager(renotify_s=renotify_s)
+        self.alerts = AlertManager(renotify_s=config.renotify_s)
         self.actions = ActionEngine(machine, self.alerts)
 
         # the tick loop: stages ordered by their declared data
@@ -239,19 +270,12 @@ class MonitoringPipeline:
         )
 
         self.selfmon: SelfMonitor | None = None
-        if selfmon_interval_s is not None:
+        if config.selfmon_interval_s is not None:
             self.selfmon = SelfMonitor(
-                self, interval_s=selfmon_interval_s,
-                source=f"{site}/selfmon" if site else "selfmon",
+                self, interval_s=config.selfmon_interval_s,
+                source=f"{self.site}/selfmon" if self.site else "selfmon",
             )
             self.selfmon.verify_registered(self.registry)
-
-    # -- transport alias ---------------------------------------------------------
-
-    @property
-    def transport(self) -> Transport:
-        """The installed transport (``.bus`` kept as the historic name)."""
-        return self.bus
 
     # -- bus sinks ---------------------------------------------------------------
 
@@ -325,7 +349,7 @@ class MonitoringPipeline:
         accounting happens here afterwards, in publish order, so the
         totals are identical to the serial path.
         """
-        if hasattr(self.tsdb, "append_parallel"):
+        if hasattr(self.tsdb, "append_parallel"):  # probe: allowed sharded only
             self._staged_ingest = []
         try:
             collected = self.scheduler.poll(
@@ -392,8 +416,8 @@ class MonitoringPipeline:
         two detectors of the same class are installed."""
         stage = self.stage("streaming")
         assert isinstance(stage, StreamingStage)
-        base = getattr(detector, "name", type(detector).__name__)
-        taken = {getattr(d, "name", "") for d in stage.detectors}
+        base = getattr(detector, "name", type(detector).__name__)  # probe: allowed user code
+        taken = {getattr(d, "name", "") for d in stage.detectors}  # probe: allowed user code
         name, k = base, 2
         while name in taken:
             name = f"{base}-{k}"
@@ -444,12 +468,9 @@ class MonitoringPipeline:
         """
         if self.ledger is None:
             return None
-        pending = 0
-        redo = getattr(self.tsdb, "redo_pending_points", None)
-        if redo is not None:
-            pending = redo()
         return self.ledger.balance(
-            pending=pending, in_flight=self.bus.in_flight_points()
+            pending=self.tsdb.redo_pending_points(),
+            in_flight=self.bus.in_flight_points(),
         )
 
     def health_report(self) -> dict[str, dict]:
@@ -498,66 +519,3 @@ def default_collectors(
         BenchmarkSuite(interval_s=bench_interval_s, seed=seed),
         NodeHealthSuite(interval_s=health_interval_s),
     ]
-
-
-def default_pipeline(
-    machine: Machine,
-    metric_interval_s: float = 60.0,
-    with_health_gate: bool = True,
-    seed: int = 0,
-    transport: Transport | str | None = None,
-    tsdb=None,
-    shards: int | None = None,
-    workers: int | None = None,
-    store_dir: str | None = None,
-    hot_bytes: int = 64 << 20,
-    **kw,
-) -> MonitoringPipeline:
-    """Assemble the full stack against ``machine`` (CSCS gate included).
-
-    ``transport`` picks the data-movement tier: ``None``/``"flat"`` is
-    the single bus, ``"partitioned"`` the topic-hash partitioned bus,
-    ``"tree"`` the LDMS-style aggregator tree — or pass any
-    :class:`~repro.transport.base.Transport` instance.  ``shards=K``
-    swaps the numeric store for a
-    :class:`~repro.storage.sharded.ShardedTimeSeriesStore` over K
-    shards (mutually exclusive with an explicit ``tsdb=``).
-    ``workers=N`` (or ``executor=``, which it aliases) picks the
-    execution model: N > 1 runs the data-parallel planes on a
-    ``ThreadedExecutor`` over N workers; the default stays serial.
-    ``store_dir=`` attaches the out-of-core disk tier (per-shard
-    subdirectories when combined with ``shards=``): sealed chunks
-    persist to segment files, appends are WAL-logged, and resident
-    sealed bytes stay under ``hot_bytes``.
-
-    This is a thin shim over the declarative site layer: the knobs
-    validate through :meth:`~repro.sites.config.SiteConfig.from_knobs`
-    (the one home of the mutual-exclusion rules) and the stack
-    assembles through :func:`~repro.sites.build.build_site` against a
-    one-site config.
-    """
-    from .sites.build import build_site
-    from .sites.config import SITE_FIELD_NAMES, SiteConfig
-
-    declarative, overrides = {}, {}
-    aliases = {"serve_quotas": "quotas", "site": "name"}
-    for key in list(kw):
-        name = aliases.get(key, key)
-        if name in SITE_FIELD_NAMES:
-            declarative[name] = kw.pop(key)
-    config, instance_overrides = SiteConfig.from_knobs(
-        metric_interval_s=metric_interval_s,
-        with_health_gate=with_health_gate,
-        seed=seed,
-        transport=transport,
-        tsdb=tsdb,
-        shards=shards,
-        store_dir=store_dir,
-        workers=workers,
-        executor=kw.pop("executor", None),
-        hot_bytes=hot_bytes,
-        **declarative,
-    )
-    overrides.update(instance_overrides)
-    overrides.update(kw)      # pipeline-only plumbing: sec/registry/...
-    return build_site(config, machine=machine, overrides=overrides)

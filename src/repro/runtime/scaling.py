@@ -52,6 +52,7 @@ def build_scaling_pipeline(
     )
     from ..obs.trace import Tracer
     from ..pipeline import MonitoringPipeline
+    from ..sites.config import SiteConfig
     from ..storage.sharded import ShardedTimeSeriesStore
     from .latency import LatentStore, RemoteFleetCollector
 
@@ -81,13 +82,11 @@ def build_scaling_pipeline(
     )
     return MonitoringPipeline(
         machine,
+        SiteConfig(tick_s=10.0, selfmon_interval_s=None, freshness=False,
+                   workers=workers),
         collectors=collectors,
-        tick_s=10.0,
         tracer=Tracer(enabled=False),
-        selfmon_interval_s=None,
         tsdb=store,
-        freshness=False,
-        executor=workers,
     )
 
 

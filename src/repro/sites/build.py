@@ -1,8 +1,9 @@
 """Build a site's machine + monitoring stack from its declared config.
 
-``build_site(config) -> MonitoringPipeline`` is the one assembly path:
-``default_pipeline`` is now a thin shim over a one-site config, and the
-federation driver calls this per site.  ``site_capabilities(pipeline)``
+``build_site(config) -> MonitoringPipeline`` adds the machine, the
+default collectors and the health gate around the pipeline
+constructor, which reads every other knob from the same config; the
+federation driver calls it per site.  ``site_capabilities(pipeline)``
 derives the *live* Table I row from the assembled stack — the dict
 :meth:`~repro.sites.config.SiteConfig.capabilities` declares — so
 declared-vs-built drift is machine-checkable.
@@ -51,32 +52,6 @@ def build_machine(config: SiteConfig) -> Machine:
     )
 
 
-def _build_store(config: SiteConfig):
-    """The numeric-store tier the config declares (None = pipeline default)."""
-    from ..storage.sharded import ShardedTimeSeriesStore
-    from ..storage.tsdb import TimeSeriesStore
-
-    if config.shards is not None:
-        return ShardedTimeSeriesStore(
-            shards=config.shards,
-            chunk_size=config.chunk_size,
-            pyramid_levels=config.pyramid_levels,
-            disk_dir=config.store_dir,
-            hot_bytes=config.hot_bytes,
-        )
-    if config.store_dir is not None:
-        from ..storage.diskier import DiskTier
-        return TimeSeriesStore(
-            chunk_size=config.chunk_size,
-            pyramid_levels=config.pyramid_levels,
-            disk=DiskTier(config.store_dir, hot_bytes=config.hot_bytes),
-        )
-    return TimeSeriesStore(
-        chunk_size=config.chunk_size,
-        pyramid_levels=config.pyramid_levels,
-    )
-
-
 def build_site(
     config: SiteConfig,
     machine: Machine | None = None,
@@ -84,28 +59,21 @@ def build_site(
 ) -> "MonitoringPipeline":
     """Assemble the full monitoring stack the config declares.
 
-    ``overrides`` carries instance-typed knobs that cannot be expressed
-    as data (the dict :meth:`SiteConfig.from_knobs` returns — a live
-    ``Transport``/store/``ExecutionModel``, plus any pipeline-only
-    plumbing like ``sec=``/``registry=``/``stages=``); they install
-    verbatim over the config's declarative choices.
+    Builds the machine (unless one is passed), the default collectors
+    from the config's cadences (unless ``overrides`` names
+    ``collectors``), the pipeline, and the CSCS health gate when the
+    config asks for it.  ``overrides`` holds the live objects
+    :class:`~repro.pipeline.MonitoringPipeline` accepts as keywords (a
+    ``Transport``, store, executor, ``sec``, ``registry``, ``stages``,
+    ...); each replaces what the config would build.
     """
     from ..pipeline import MonitoringPipeline, default_collectors
-    from ..transport.base import make_transport
 
     overrides = dict(overrides) if overrides else {}
     if machine is None:
         machine = build_machine(config)
-    transport = overrides.pop("transport", None)
-    if transport is None:
-        transport = make_transport(config.transport)
-    tsdb = overrides.pop("tsdb", None)
-    if tsdb is None:
-        tsdb = _build_store(config)
-    executor = overrides.pop("executor", config.workers)
-    collectors = overrides.pop("collectors", None)
-    if collectors is None:
-        collectors = default_collectors(
+    if "collectors" not in overrides:
+        overrides["collectors"] = default_collectors(
             machine,
             metric_interval_s=config.metric_interval_s,
             probe_interval_s=config.probe_interval_s,
@@ -113,23 +81,7 @@ def build_site(
             health_interval_s=config.health_interval_s,
             seed=config.seed,
         )
-    pipeline = MonitoringPipeline(
-        machine,
-        collectors=collectors,
-        transport=transport,
-        tsdb=tsdb,
-        tick_s=config.tick_s,
-        renotify_s=config.renotify_s,
-        selfmon_interval_s=config.selfmon_interval_s,
-        supervision=config.supervision,
-        collector_budget_s=config.collector_budget_s,
-        freshness=config.freshness,
-        executor=executor,
-        serve_quotas=config.quotas,
-        site=config.name,
-        **overrides,
-    )
-    pipeline.site_config = config
+    pipeline = MonitoringPipeline(machine, config, **overrides)
     if config.with_health_gate and machine.scheduler.health_gate is None:
         gate = HealthGate(machine)
         machine.scheduler.health_gate = gate.gate
@@ -154,7 +106,6 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     dict inequality against :meth:`SiteConfig.capabilities`.
     """
     machine = pipeline.machine
-    config = pipeline.site_config
     topo_name = type(machine.topo).__name__.replace("Topology", "").lower()
     bus = pipeline.bus
     if isinstance(bus, ChaosTransport):    # the chaos wrapper is transparent
@@ -163,7 +114,7 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     tsdb = pipeline.tsdb
     return {
         "site": pipeline.site,
-        "system": config.system if config is not None else "",
+        "system": pipeline.site_config.system,
         "topology": topo_name,
         "nodes": len(machine.topo.nodes),
         "gpus": machine.gpus.n if machine.gpus is not None else 0,

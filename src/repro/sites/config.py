@@ -4,32 +4,29 @@ The paper is ten sites running different machines, transports, and
 storage stacks (Table I); DCDB makes the same case for a per-facility
 config layer feeding a holistic cross-facility view, and the
 radical.pilot platform-config table is the concrete shape imitated
-here.  A :class:`SiteConfig` captures everything
-``default_pipeline`` used to take as loose kwargs — machine shape,
-workload, collector cadences, transport tier, storage layout, execution
-model, serving quotas — as one validated, frozen value that can be
-diffed between sites and rebuilt into an identical stack
-(:func:`repro.sites.build.build_site`).
+here.  A :class:`SiteConfig` is the one list of declarative knobs —
+machine shape, workload, collector cadences, loop cadences, transport
+tier, storage layout, execution model, serving quotas — as one
+validated, frozen value that can be diffed between sites and rebuilt
+into an identical stack (:func:`repro.sites.build.build_site`;
+:class:`~repro.pipeline.MonitoringPipeline` reads it directly).
 
-:meth:`SiteConfig.from_knobs` is the *single* validated path for the
-historically mutually-exclusive assembly knobs (``tsdb=`` vs
-``shards=`` vs ``store_dir=``, ``workers=`` vs ``executor=``);
-``default_pipeline`` now routes through it instead of an ad-hoc
-``raise ValueError`` ladder.  :meth:`SiteConfig.capabilities` is the
+Live objects that cannot be written down as data (a ``Transport`` or
+store instance, an executor) are passed to the pipeline as keywords
+next to the config.  :meth:`SiteConfig.capabilities` is the
 declared per-site Table I row that live-pipeline introspection must
 reproduce exactly (the config-drift contract the CLI and tests check).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 from ..serve.quota import TenantQuota
 from ..storage.rollup import DEFAULT_LEVELS
 
 __all__ = [
-    "SITE_FIELD_NAMES",
     "SiteConfig",
     "TOPOLOGY_CLASSES",
     "TRANSPORT_TIERS",
@@ -160,56 +157,6 @@ class SiteConfig:
         if self.selfmon_interval_s is not None and self.selfmon_interval_s <= 0:
             raise ValueError("selfmon_interval_s must be positive")
 
-    # -- the single validated knob path -----------------------------------
-
-    @classmethod
-    def from_knobs(
-        cls,
-        *,
-        transport=None,
-        tsdb=None,
-        shards: int | None = None,
-        store_dir: str | None = None,
-        workers: int | None = None,
-        executor=None,
-        **declarative,
-    ) -> "tuple[SiteConfig, dict]":
-        """Validate the historic ``default_pipeline`` knob set.
-
-        Declarative knobs land in the returned :class:`SiteConfig`;
-        instance-typed knobs (a ``Transport``/store/``ExecutionModel``
-        object that cannot be expressed as data) come back in the
-        overrides dict for :func:`~repro.sites.build.build_site` to
-        install verbatim.  The mutual-exclusion rules live here — one
-        code path, not a ladder at every call site.
-        """
-        overrides: dict = {}
-        if tsdb is not None:
-            if store_dir is not None:
-                raise ValueError("pass either tsdb= or store_dir=, not both")
-            if shards is not None:
-                raise ValueError("pass either tsdb= or shards=, not both")
-            overrides["tsdb"] = tsdb
-        if workers is not None and executor is not None:
-            raise ValueError("pass either workers= or executor=, not both")
-        if transport is not None:
-            if isinstance(transport, str):
-                declarative["transport"] = transport
-            else:
-                overrides["transport"] = transport
-        if executor is not None:
-            if isinstance(executor, int) and not isinstance(executor, bool):
-                workers = executor
-            else:
-                overrides["executor"] = executor
-        config = cls(
-            shards=shards,
-            store_dir=store_dir,
-            workers=workers,
-            **declarative,
-        )
-        return config, overrides
-
     # -- derived shape ----------------------------------------------------
 
     def expected_nodes(self) -> int:
@@ -252,21 +199,3 @@ class SiteConfig:
             "freshness": bool(self.freshness),
             "tenants": len(self.quotas) if self.quotas else 0,
         }
-
-    def to_dict(self) -> dict:
-        """Plain-data view (quota values expanded), for diffing sites."""
-        out: dict = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "quotas" and v:
-                v = {t: (q.qps, q.burst, q.max_concurrent)
-                     for t, q in v.items()}
-            out[f.name] = v
-        return out
-
-
-#: every declarative knob a site deployment has (the config-drift gate
-#: in scripts/check.py holds pipeline assembly parameters to this set)
-SITE_FIELD_NAMES: frozenset[str] = frozenset(
-    f.name for f in fields(SiteConfig)
-)

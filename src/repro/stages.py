@@ -137,8 +137,8 @@ class MetricPlaneStage:
     after = ("event-plane",)
 
     def run(self, pipeline, now):
-        ex = getattr(pipeline, "executor", None)
-        if ex is not None and ex.parallel:
+        ex = pipeline.executor
+        if ex.parallel:
             collected = pipeline.parallel_sweep(now, ex)
         else:
             collected = pipeline.scheduler.poll(
@@ -194,9 +194,8 @@ class JobTrackingStage:
                 # CSCS post-job check: when a health gate is installed,
                 # every finished job's nodes are re-validated and
                 # failures drained before anything else lands on them
-                gate = getattr(pipeline, "health_gate", None)
-                if gate is not None:
-                    gate.post_job(job)
+                if pipeline.health_gate is not None:
+                    pipeline.health_gate.post_job(job)
         return ()
 
 

@@ -847,6 +847,10 @@ class TimeSeriesStore(SeriesQueryMixin):
     #: one store is one shard (ShardedTimeSeriesStore sets its own count)
     n_shards = 1
 
+    #: optional DeliveryLedger, attached by the pipeline; a single store
+    #: either appends a batch or raises, so it never stamps one itself
+    ledger = None
+
     def __init__(self, chunk_size: int = 512,
                  cache: ChunkCache | None = None,
                  pyramid_levels: Sequence[float] | None = None,
@@ -1396,6 +1400,11 @@ class TimeSeriesStore(SeriesQueryMixin):
         if self.disk is None:
             raise RuntimeError("snapshot() requires a disk tier")
         return self.disk.snapshot(self)
+
+    def redo_pending_points(self) -> int:
+        """Points parked for a later retry (the ledger ``pending``
+        gauge): a single store has no redo buffer."""
+        return 0
 
     def points_by_metric(self) -> dict[str, int]:
         """Per-metric stored point counts — the durable truth the

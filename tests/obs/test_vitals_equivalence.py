@@ -20,7 +20,7 @@ import pytest
 from repro.analysis.streaming import StreamingOutlierDetector, StreamingStats
 from repro.obs.chaos import ChaosTransport
 from repro.obs.selfmetrics import GAUGES, LEVEL, SELFMON_METRICS
-from repro.pipeline import default_pipeline
+from repro.sites import SiteConfig, build_site
 from repro.storage.rollup import DEFAULT_LEVELS
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
@@ -70,19 +70,21 @@ def assert_same_batches(got, want) -> None:
 
 def build(stack: str, tmp):
     kw: dict = {"seed": 3}
+    overrides: dict = {}
     if stack in EXTRAS:
         if stack == "chaos":
             bus = ChaosTransport(MessageBus())
             bus.drop_every = 7
-            kw["transport"] = bus
+            overrides["transport"] = bus
         elif stack == "workers-2":
             kw.update(workers=2, shards=2)
         else:
-            kw["site"] = "lanl"
+            kw["name"] = "lanl"
     else:
         transport, store = stack.split("/")
-        kw.update(transport=transport, tsdb=STORES[store](tmp))
-    p = default_pipeline(make_machine(), **kw)
+        kw["transport"] = transport
+        overrides["tsdb"] = STORES[store](tmp)
+    p = build_site(SiteConfig(**kw), make_machine(), overrides=overrides)
     p.add_streaming(StreamingStats())
     p.add_streaming(
         StreamingOutlierDetector(("node.power_w",), z_threshold=4.0))

@@ -1,4 +1,4 @@
-"""The declarative site layer: validation, the single knob path, and
+"""The declarative site layer: validation, live-object overrides, and
 the config round-trip contract.
 
 A :class:`~repro.sites.config.SiteConfig` is a whole deployment as
@@ -11,7 +11,7 @@ regenerated Table I machine-checkable instead of hand-maintained.
 
 import pytest
 
-from repro.pipeline import MonitoringPipeline, default_pipeline
+from repro.pipeline import MonitoringPipeline
 from repro.serve.quota import TenantQuota
 from repro.sites import (
     PAPER_SITES,
@@ -21,6 +21,10 @@ from repro.sites import (
     paper_site,
     site_capabilities,
 )
+
+
+def make_machine():
+    return build_machine(SiteConfig())
 
 
 class TestValidation:
@@ -80,55 +84,68 @@ class TestValidation:
 
 
 class TestFromKnobs:
-    """The historically mutually-exclusive knobs, one validated path."""
+    """Building from knobs: a live object passed next to the config
+    replaces what the config would build, and the historically
+    mutually-exclusive pairs raise in one place, the pipeline."""
 
     def test_tsdb_vs_store_dir(self):
         with pytest.raises(ValueError,
                            match="pass either tsdb= or store_dir=, not both"):
-            SiteConfig.from_knobs(tsdb=object(), store_dir="/tmp/x")
+            MonitoringPipeline(make_machine(), SiteConfig(store_dir="/tmp/x"),
+                               tsdb=object())
 
     def test_tsdb_vs_shards(self):
         with pytest.raises(ValueError,
                            match="pass either tsdb= or shards=, not both"):
-            SiteConfig.from_knobs(tsdb=object(), shards=4)
+            MonitoringPipeline(make_machine(), SiteConfig(shards=4),
+                               tsdb=object())
 
     def test_workers_vs_executor(self):
         with pytest.raises(ValueError,
                            match="pass either workers= or executor=, not both"):
-            SiteConfig.from_knobs(workers=2, executor=4)
+            MonitoringPipeline(make_machine(), SiteConfig(workers=2),
+                               executor=4)
 
     def test_int_executor_aliases_workers(self):
-        cfg, overrides = SiteConfig.from_knobs(executor=3)
-        assert cfg.workers == 3
-        assert overrides == {}
+        declared = MonitoringPipeline(make_machine(), SiteConfig(workers=3))
+        live = MonitoringPipeline(make_machine(), executor=3)
+        assert declared.executor.workers == live.executor.workers == 3
+        declared.executor.shutdown()
+        live.executor.shutdown()
 
     def test_instances_become_overrides(self):
-        store, ex = object(), object()
-        cfg, overrides = SiteConfig.from_knobs(tsdb=store, executor=ex)
-        assert overrides == {"tsdb": store, "executor": ex}
-        assert cfg.shards is None and cfg.workers is None
+        from repro.runtime.executor import SerialExecutor
+        from repro.storage.tsdb import TimeSeriesStore
+
+        store, ex = TimeSeriesStore(), SerialExecutor()
+        p = MonitoringPipeline(make_machine(), tsdb=store, executor=ex)
+        assert p.tsdb is store and p.executor is ex
+        assert p.site_config.shards is None and p.site_config.workers is None
 
     def test_string_transport_is_declarative(self):
-        cfg, overrides = SiteConfig.from_knobs(transport="tree")
-        assert cfg.transport == "tree"
-        assert overrides == {}
+        from repro.transport.aggtree import AggregatorTree
+
+        p = MonitoringPipeline(make_machine(), SiteConfig(transport="tree"))
+        assert isinstance(p.bus, AggregatorTree)
 
     def test_instance_transport_is_an_override(self):
         from repro.transport import MessageBus
 
         bus = MessageBus()
-        cfg, overrides = SiteConfig.from_knobs(transport=bus)
-        assert overrides == {"transport": bus}
-        assert cfg.transport == "flat"
+        p = MonitoringPipeline(make_machine(), SiteConfig(transport="tree"),
+                               transport=bus)
+        assert p.bus is bus
 
-    def test_default_pipeline_raises_the_same_ladder(self):
+    def test_build_site_raises_the_same_ladder(self):
         machine = build_machine(SiteConfig())
         with pytest.raises(ValueError,
                            match="pass either tsdb= or shards=, not both"):
-            default_pipeline(machine, tsdb=object(), shards=2)
+            build_site(SiteConfig(shards=2), machine,
+                       overrides={"tsdb": object()})
         with pytest.raises(ValueError,
                            match="pass either workers= or executor=, not both"):
-            default_pipeline(machine, workers=2, executor=2)
+            build_site(SiteConfig(workers=2), machine,
+                       overrides={"executor": 2})
 
 
 class TestRoundTrip:
@@ -174,11 +191,12 @@ class TestRoundTrip:
 
 
 class TestDefaultPipelineShim:
-    """``default_pipeline`` keeps its exact historic surface."""
+    """``build_site`` over a caller's machine: the one-site assembly
+    every scenario and example uses."""
 
     def test_plain_call_is_anonymous_and_runs(self):
         machine = build_machine(SiteConfig(seed=3))
-        pipeline = default_pipeline(machine, seed=3)
+        pipeline = build_site(SiteConfig(seed=3), machine)
         assert isinstance(pipeline, MonitoringPipeline)
         assert pipeline.site == ""
         pipeline.run(hours=0.05, dt=10.0)
@@ -188,9 +206,11 @@ class TestDefaultPipelineShim:
 
     def test_shim_attaches_the_declared_config(self):
         machine = build_machine(SiteConfig())
-        pipeline = default_pipeline(machine, shards=2, workers=2)
-        assert pipeline.site_config.shards == 2
-        assert pipeline.site_config.workers == 2
+        config = SiteConfig(shards=2, workers=2)
+        pipeline = build_site(config, machine)
+        assert pipeline.site_config is config
+        assert pipeline.tsdb.n_shards == 2
+        assert pipeline.executor.workers == 2
         pipeline.executor.shutdown()
 
     def test_pipeline_only_plumbing_still_passes_through(self):
@@ -198,5 +218,24 @@ class TestDefaultPipelineShim:
 
         reg = default_registry()
         machine = build_machine(SiteConfig())
-        pipeline = default_pipeline(machine, registry=reg)
+        pipeline = build_site(SiteConfig(), machine,
+                              overrides={"registry": reg})
         assert pipeline.registry is reg
+
+    def test_bare_constructor_builds_the_default_stack(self):
+        """``MonitoringPipeline(machine)`` reads the default SiteConfig:
+        flat bus, one store with 512-sample chunks and the default
+        pyramid, serial executor, 60 s selfmon, 10 s tick."""
+        from repro.storage.rollup import DEFAULT_LEVELS
+        from repro.storage.tsdb import TimeSeriesStore
+        from repro.transport import MessageBus
+
+        p = MonitoringPipeline(make_machine())
+        assert type(p.bus) is MessageBus
+        assert type(p.tsdb) is TimeSeriesStore
+        assert p.tsdb.chunk_size == 512 and p.tsdb.disk is None
+        assert tuple(p.tsdb.pyramid_levels) == tuple(DEFAULT_LEVELS)
+        assert not p.executor.parallel
+        assert p.selfmon.interval_s == 60.0 and p.tick_s == 10.0
+        assert p.site_config == SiteConfig() and p.site == ""
+        assert p.health_gate is None

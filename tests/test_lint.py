@@ -468,11 +468,15 @@ class TestFdLifetimeGate:
 
 
 class TestDuckProbeGate:
-    """obs/ and sites/ read component surfaces directly, not by probing."""
+    """obs/, sites/ and the pipeline read component surfaces directly,
+    not by probing."""
 
     def test_obs_and_sites_have_no_probes(self):
         problems = check_mod.check_duck_probes_repro()
         assert not problems, "\n".join(problems)
+
+    def test_pipeline_module_is_gated(self):
+        assert "src/repro/pipeline.py" in check_mod._DUCK_PROBE_PATHS
 
     def test_flags_getattr_with_default(self, tmp_path):
         f = tmp_path / "mod.py"
@@ -531,7 +535,9 @@ class TestDuckProbeGate:
 
 
 class TestConfigDriftGate:
-    """Every pipeline-assembly knob must map to a SiteConfig field."""
+    """No declarative knob may live outside SiteConfig: every
+    MonitoringPipeline.__init__ parameter besides machine/config must
+    be a live object."""
 
     def test_real_assembly_surface_is_representable(self):
         problems = check_mod.check_config_drift()
@@ -541,69 +547,52 @@ class TestConfigDriftGate:
         pipeline = tmp_path / "pipeline.py"
         pipeline.write_text(
             "class MonitoringPipeline:\n"
-            "    def __init__(self, machine, tick_s=10.0,\n"
+            "    def __init__(self, machine, config, *, tsdb=None,\n"
             "                 shiny_new_knob=None):\n"
             "        pass\n"
         )
-        config = tmp_path / "config.py"
-        config.write_text(
-            "class SiteConfig:\n"
-            "    tick_s: float = 10.0\n"
-        )
-        problems = check_mod.check_config_drift(pipeline, config)
+        problems = check_mod.check_config_drift(pipeline)
         assert len(problems) == 1
         assert "shiny_new_knob" in problems[0]
         assert "SiteConfig" in problems[0]
 
-    def test_flags_default_pipeline_knob_too(self, tmp_path):
-        pipeline = tmp_path / "pipeline.py"
-        pipeline.write_text(
-            "def default_pipeline(machine, tick_s=10.0, mystery=1, **kw):\n"
-            "    pass\n"
-        )
-        config = tmp_path / "config.py"
-        config.write_text(
-            "class SiteConfig:\n"
-            "    tick_s: float = 10.0\n"
-        )
-        problems = check_mod.check_config_drift(pipeline, config)
-        assert len(problems) == 1
-        assert "mystery" in problems[0]
-        assert "default_pipeline" in problems[0]
-
-    def test_matching_fields_and_aliases_pass(self, tmp_path):
+    def test_flags_tick_s_param_on_init(self, tmp_path):
+        """A knob SiteConfig already declares is still drift when the
+        constructor takes it beside the config."""
         pipeline = tmp_path / "pipeline.py"
         pipeline.write_text(
             "class MonitoringPipeline:\n"
-            "    def __init__(self, machine, tick_s=10.0, site='',\n"
-            "                 serve_quotas=None, executor=None, tsdb=None):\n"
+            "    def __init__(self, machine, config, tick_s=10.0, **kw):\n"
             "        pass\n"
         )
-        config = tmp_path / "config.py"
-        config.write_text(
-            "class SiteConfig:\n"
-            "    name: str = ''\n"
-            "    tick_s: float = 10.0\n"
-            "    quotas: dict | None = None\n"
-            "    workers: int | None = None\n"
-        )
-        assert check_mod.check_config_drift(pipeline, config) == []
+        problems = check_mod.check_config_drift(pipeline)
+        assert len(problems) == 2
+        assert "'tick_s'" in problems[0]
+        assert "'kw'" in problems[1]
 
-    def test_empty_config_is_itself_a_finding(self, tmp_path):
+    def test_live_objects_pass(self, tmp_path):
         pipeline = tmp_path / "pipeline.py"
-        pipeline.write_text("def default_pipeline(machine):\n    pass\n")
-        config = tmp_path / "config.py"
-        config.write_text("X = 1\n")
-        problems = check_mod.check_config_drift(pipeline, config)
+        pipeline.write_text(
+            "class MonitoringPipeline:\n"
+            "    def __init__(self, machine, config, *, collectors=(),\n"
+            "                 transport=None, tsdb=None, executor=None):\n"
+            "        pass\n"
+        )
+        assert check_mod.check_config_drift(pipeline) == []
+
+    def test_missing_init_is_itself_a_finding(self, tmp_path):
+        """A gate that finds nothing to check must not pass silently
+        (moving the class would otherwise switch it off)."""
+        pipeline = tmp_path / "pipeline.py"
+        pipeline.write_text("def build(machine):\n    pass\n")
+        problems = check_mod.check_config_drift(pipeline)
         assert len(problems) == 1
-        assert "no SiteConfig fields" in problems[0]
+        assert "no MonitoringPipeline.__init__" in problems[0]
 
     def test_syntax_errors_left_to_the_syntax_check(self, tmp_path):
         pipeline = tmp_path / "pipeline.py"
         pipeline.write_text("def broken(:\n")
-        config = tmp_path / "config.py"
-        config.write_text("class SiteConfig:\n    tick_s: float = 10.0\n")
-        assert check_mod.check_config_drift(pipeline, config) == []
+        assert check_mod.check_config_drift(pipeline) == []
 
     def test_gate_is_wired_into_lint(self):
         """The gate must actually run as part of ``scripts/check.py``."""

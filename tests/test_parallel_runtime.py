@@ -264,12 +264,12 @@ def _fresh_machine(seed):
 
 
 def _run(seed, executor):
-    from repro.pipeline import default_pipeline
+    from repro.sites import SiteConfig, build_site
 
     machine = _fresh_machine(seed)
-    pipeline = default_pipeline(machine, seed=seed,
-                                transport="partitioned", shards=4,
-                                executor=executor)
+    pipeline = build_site(
+        SiteConfig(seed=seed, transport="partitioned", shards=4),
+        machine, overrides={"executor": executor})
     pipeline.run(hours=0.5, dt=10.0)
     pipeline.bus.flush()
     return pipeline
